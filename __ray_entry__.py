@@ -45,7 +45,7 @@ def entry() -> Any:
     sf_dir = "/root/testdata/sf0.001"
     ds = derive_from_events(sf_dir, num_buckets=8)
     side = side_scd_from_events(sf_dir)
-    return flagship(ds, side, num_buckets=8, gap_seconds=3600.0, asof_concurrency=2)
+    return flagship(ds, side, num_buckets=8, gap_seconds=3600.0)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -12,10 +12,9 @@ RAY_GRAFT_CPUS=8 and =32 on the same input (page cache warmed) and print
 throughputs + scaling efficiency (the sandbox stand-in for the
 north_rule's N vs 4N-node cluster criterion).
 
-``BENCH_PREPART=1``: use the shuffle-free storage-partitioned flagship
-(`flagship_prepartitioned` — the bench corpus's files hold complete
-conversations, the same layout tools/job.py's sink writes). Composes
-with ``--scaling``; measured 0.908 efficiency 4→16 CPUs (BASELINE.md).
+``BENCH_GENERAL=1``: force the general conv-exchange plan; by default
+the corpus's declared conv-partitioned layout elides the exchange
+(`flagship_auto`). Composes with ``--scaling``.
 """
 
 from __future__ import annotations
@@ -321,11 +320,7 @@ def run_headline() -> dict:
     # (non-deprecated spelling of use_push_based_shuffle in Ray 2.49)
     ctx.shuffle_strategy = "sort_shuffle_push_based"
 
-    from ptrail_ray.pipelines.flagship import (
-        flagship,
-        flagship_auto,
-        flagship_prepartitioned,
-    )
+    from ptrail_ray.pipelines.flagship import flagship, flagship_auto
     from ptrail_ray.sources.transcripts import read_transcripts, side_scd_from_events
 
     path = ensure_bench_corpus()
@@ -348,37 +343,26 @@ def run_headline() -> dict:
     # r04 sweep (BASELINE.md "scaling root cause"): 4 read blocks/CPU
     # keeps the read/project phase pipelined ahead of the sort barrier
     # (1 block/CPU measured 30 s vs 16 s at 16 CPUs); ≥128 buckets give
-    # the post-sort kernel task pool enough grain to fill every CPU;
-    # asof actors at num_cpus=0.5 (see stages/asof.py) stay UNFUSED so
-    # the kernel stage runs full-width as tasks.
+    # the post-sort kernel task pool enough grain to fill every CPU.
     read_blocks = NUM_CPUS * 4
     num_buckets = max(128, NUM_CPUS * 4)
-    asof_conc = max(2, NUM_CPUS // 2)
 
     # Default (VERDICT r04 #3): the STORAGE LAYOUT decides the plan —
     # flagship_auto reads the corpus's layout manifest (written by the
     # engine's own producers: write_synth here, the sink's
     # partition-only mode in production) and elides the conv exchange
     # whenever every conversation provably lives whole in one file.
-    # Overrides for the comparison rows in BASELINE.md:
-    #   BENCH_GENERAL=1  force the general exchange path
-    #   BENCH_PREPART=1  force the shuffle-free path (fails if the
-    #                    layout doesn't qualify — no silent fallback)
-    prepart = bool(os.environ.get("BENCH_PREPART"))
+    # BENCH_GENERAL=1 forces the general exchange path (the comparison
+    # row in BASELINE.md).
     general = bool(os.environ.get("BENCH_GENERAL"))
-    if prepart and general:
-        raise SystemExit("BENCH_PREPART and BENCH_GENERAL are mutually exclusive")
 
     def build():
-        if prepart:
-            return flagship_prepartitioned(path, side, asof_concurrency=asof_conc)
         if general:
             return flagship(
                 read_transcripts(path, override_num_blocks=read_blocks),
                 side,
                 num_buckets=num_buckets,
                 gap_seconds=120.0,
-                asof_concurrency=asof_conc,
                 hot_threshold=None,
             )
         return flagship_auto(
@@ -386,7 +370,6 @@ def run_headline() -> dict:
             side,
             num_buckets=num_buckets,
             gap_seconds=120.0,
-            asof_concurrency=asof_conc,
             hot_threshold=None,
             read_blocks=read_blocks,
         )

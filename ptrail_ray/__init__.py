@@ -16,8 +16,9 @@ Architecture (NOT a port — see SURVEY.md §1.2/§3.4):
 * window/derivative kernels (``stages/kernels.py``) are fused numpy
   kernels with NaN re-seeding at conversation boundaries (exact NaN-width
   parity with the reference, SURVEY.md §1.3);
-* stateful stages (as-of join, tokenizer) are actor pools via
-  ``map_batches(Cls, concurrency=...)``;
+* the flagship runs one bucket kernel per bucket (sort → kernels →
+  temporal → as-of probe against a broadcast side table,
+  ``pipelines/flagship.py``) — no actor pool between the stages;
 * resumable partitioned Parquet sink with per-partition lineage
   manifests (``state/manifest.py``).
 """

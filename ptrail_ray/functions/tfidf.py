@@ -34,7 +34,6 @@ the oracle replays bit-equal doubles.
 from __future__ import annotations
 
 import functools
-import itertools as _it
 
 import numpy as np
 import pandas as pd
@@ -43,17 +42,6 @@ import pyarrow as pa
 import ray
 
 TEXT_BATCH = 16_384
-
-
-def _flat_tokens(texts: list) -> tuple[np.ndarray, np.ndarray]:
-    """Whitespace-split every doc; return (flat term array, doc index
-    per term) — the same token model as ``top_terms`` / the SQL
-    ``regexp_split_to_array(text, '\\s+')`` + empty filter."""
-    toks = [(s or "").split() for s in texts]
-    lens = np.fromiter((len(x) for x in toks), np.int64, count=len(toks))
-    flat = np.array(list(_it.chain.from_iterable(toks)), dtype=object)
-    idx = np.repeat(np.arange(len(toks), dtype=np.int64), lens)
-    return flat, idx
 
 
 def _df_partial(t: pa.Table, *, text_col: str) -> pa.Table:

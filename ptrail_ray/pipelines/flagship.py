@@ -1,34 +1,34 @@
 """Flagship end-to-end pipeline (the reference's "real workload",
 SURVEY.md §3.3: clean → gap-detect → featurize → side-join → stats).
 
-    read/derive transcripts
-      → [project_early] compute measure channels (m1/m2) and DROP text
-      → [single conv-bucket shuffle]
-         fused window kernels (derivative chains, sessionize, lag/lead)
-      → temporal extractors (stateless)
-      → as-of backfill join (broadcast side, actor pool)
+    read transcripts → [conv-bucket exchange, elided on a declared
+    conv-partitioned layout] → one bucket task (:func:`featurize_bucket`):
+    sort → project (m1/m2, drop text) → fused window kernels → temporal
+    extractors → as-of probe against the broadcast side table
 
-Everything downstream of the one shuffle is narrow and order-preserving.
-
-``project_early`` (default True) is the 100 TB configuration: the
-derivative kernels consume only the scalar measure channels, so the text
-column — which dominates row width ~5x — is reduced to (m1, m2) BEFORE
-the all-to-all exchange ("prune at the read"); the emitted feature table
-is keyed by (conv_id, turn_idx) and joins back to the source text
-lazily. ``project_early=False`` carries text through end-to-end
-(byte-equal passthrough), which the parity queries use at small scale.
+Every plan runs the same bucket kernel, and :func:`choose_plan` decides
+whether the exchange runs. On the exchange plan the projection happens
+BEFORE the all-to-all ("prune at the read"): the kernels consume only
+the scalar measure channels, and the text column dominates row width
+~5x; the feature table is keyed by (conv_id, turn_idx) and joins back
+to the source text lazily.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
-from ptrail_ray.schema import TEXT, M1, M2
-from ptrail_ray.stages.asof import asof_join
+from ptrail_ray.schema import TEXT, TRANSCRIPT_COLUMNS, M1, M2
+from ptrail_ray.sources.transcripts import read_transcripts
+from ptrail_ray.stages.asof import AsofJoiner, put_side_table
+from ptrail_ray.stages.bucket import map_conv_buckets, sort_bucket
 from ptrail_ray.stages.kernels import ALL_FEATURES, compute_features
-from ptrail_ray.stages.bucket import map_conv_buckets
 from ptrail_ray.stages.temporal import add_temporal_columns
+from ptrail_ray.state.manifest import conv_partitioned_files
 
 
 def project_measures(batch: pa.Table) -> pa.Table:
@@ -43,6 +43,48 @@ def project_measures(batch: pa.Table) -> pa.Table:
     return out.append_column(M1, m1).append_column(M2, m2)
 
 
+def featurize_bucket(
+    table: pa.Table,
+    *,
+    side_ref=None,
+    gap_seconds: float = 120.0,
+    features: list[str] | None = None,
+) -> pa.Table:
+    """The flagship's one bucket kernel: sort → project → fused kernels
+    → temporal → as-of probe, over a table of whole conversations.
+
+    ``table`` may still carry text (a file of a conv-partitioned layout)
+    or arrive projected (the exchange plan projects before the shuffle).
+    ``side_ref`` (:func:`stages.asof.put_side_table`) backfills the side
+    attributes inline; building the joiner once per bucket is cheap next
+    to the kernels, and keeps the probe inside the bucket task."""
+    table = sort_bucket(table)
+    if TEXT in table.column_names:
+        table = project_measures(table)
+    table = compute_features(table, features or ALL_FEATURES, gap_seconds=gap_seconds)
+    table = add_temporal_columns(table)
+    if side_ref is not None:
+        table = AsofJoiner(side_ref)(table)
+    return table
+
+
+def choose_plan(
+    path: str,
+    *,
+    hot_threshold: int | None = None,
+    split_threshold: int | None = None,
+    partition_only: bool = False,
+) -> "list[str] | None":
+    """Input files of the exchange-free plan (one task per file), or
+    ``None`` for the exchange plan. A declared complete conv-partitioned
+    raw layout (`state.manifest.conv_partitioned_files`) elides the
+    exchange unless salting, splitting or a partition-only re-bucket is
+    requested: their bucket math is the hash exchange's."""
+    if hot_threshold or split_threshold or partition_only:
+        return None
+    return conv_partitioned_files(path)
+
+
 def flagship(
     ds,
     side: "pa.Table | None" = None,
@@ -50,17 +92,16 @@ def flagship(
     num_buckets: int = 32,
     gap_seconds: float = 120.0,
     features: list[str] | None = None,
-    asof_concurrency: "int | tuple" = 8,
-    project_early: bool = True,
     hot_threshold: int | None = None,
 ):
-    """Full featurization pipeline over a canonical transcript Dataset.
+    """Full featurization pipeline over a canonical transcript Dataset,
+    through the conv-bucket exchange.
 
     ``hot_threshold``: when set, a cheap partial-count pre-pass detects
     conversations above the threshold and salts the exchange so each
     gets a dedicated partition (stages/salt.py); ``None`` skips the
     pre-pass (inputs known to be skew-bounded)."""
-    hot_convs = None
+    hot_convs = ()
     if hot_threshold is not None:
         # detect on the RAW input so conv_id column pruning pushes down
         # into the parquet read (before any UDF blocks pushdown)
@@ -68,86 +109,14 @@ def flagship(
 
         hot_convs = detect_hot_convs(ds, hot_threshold)
 
-    if project_early:
-        ds = ds.map_batches(project_measures, batch_format="pyarrow", batch_size=262144)
-
-    def kern(table: pa.Table) -> pa.Table:
-        table = compute_features(
-            table, features or ALL_FEATURES, gap_seconds=gap_seconds
-        )
-        return add_temporal_columns(table)
-
-    if hot_convs is not None:
-        from ptrail_ray.stages.salt import map_conv_buckets_salted
-
-        out = map_conv_buckets_salted(
-            ds, kern, num_buckets=num_buckets, hot_convs=hot_convs
-        )
-    else:
-        out = map_conv_buckets(ds, kern, num_buckets=num_buckets)
-    if side is not None:
-        out = asof_join(out, side, concurrency=asof_concurrency)
-    return out
-
-
-def flagship_prepartitioned(
-    path: str,
-    side: "pa.Table | None" = None,
-    *,
-    gap_seconds: float = 120.0,
-    features: list[str] | None = None,
-    asof_concurrency: "int | tuple" = 8,
-    files: "list[str] | None" = None,
-):
-    """Shuffle-free flagship over a conversation-PARTITIONED Parquet
-    layout: each file holds only complete conversations (disjoint
-    conv-id sets per file — the layout the engine's own resumable sink
-    writes, and the bucketed-table contract warehouses use to elide
-    exchanges). When the partitioning already lives in the STORAGE,
-    re-deriving it is pure waste: one task per file does
-    read → stable (conv, turn, ts) sort → project → fused kernels, and
-    the conv-bucket exchange — the pipeline's single all-to-all and the
-    dominant fixed span of the scaling curve — vanishes. Output is
-    value-identical to :func:`flagship` (tests/test_round4b_ops.py).
-
-    The caller owns the layout contract; a file that splits a
-    conversation across files would silently produce per-file windows
-    (exactly the bucketed-table rule every engine has). The as-of
-    backfill is unchanged — the broadcast actor pool never needed the
-    exchange."""
-    import glob
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from ptrail_ray.schema import TRANSCRIPT_COLUMNS
-    from ptrail_ray.stages.bucket import sort_bucket
-
-    if files is None:
-        files = sorted(glob.glob(os.path.join(path, "*.parquet")))
-    if not files:
-        raise FileNotFoundError(f"no parquet files under {path!r}")
-
-    def kern(table: pa.Table) -> pa.Table:
-        table = project_measures(sort_bucket(table))
-        table = compute_features(
-            table, features or ALL_FEATURES, gap_seconds=gap_seconds
-        )
-        return add_temporal_columns(table)
-
-    def process_file(batch) -> pa.Table:
-        out = []
-        for f in batch["item"]:
-            out.append(kern(pq.read_table(f, columns=TRANSCRIPT_COLUMNS)))
-        return pa.concat_tables(out)
-
-    out = rd.from_items(files).map_batches(
-        process_file, batch_size=1, num_cpus=1
+    ds = ds.map_batches(project_measures, batch_format="pyarrow", batch_size=262144)
+    kern = partial(
+        featurize_bucket,
+        side_ref=None if side is None else put_side_table(side),
+        gap_seconds=gap_seconds,
+        features=features,
     )
-    if side is not None:
-        out = asof_join(out, side, concurrency=asof_concurrency)
-    return out
+    return map_conv_buckets(ds, kern, num_buckets=num_buckets, hot_convs=hot_convs)
 
 
 def flagship_auto(
@@ -157,45 +126,43 @@ def flagship_auto(
     num_buckets: int = 32,
     gap_seconds: float = 120.0,
     features: list[str] | None = None,
-    asof_concurrency: "int | tuple" = 8,
     hot_threshold: int | None = None,
     read_blocks: int | None = None,
 ):
-    """Flagship over a parquet dir, picking the execution plan from the
-    STORAGE layout (VERDICT r04 #3: the layout, not an env var, decides).
-
-    If ``path`` carries a layout manifest declaring a complete
-    conversation-partitioned raw-transcript layout
-    (`state.manifest.conv_partitioned_files` — written by the sink's
-    partition-only mode and the synthetic-corpus writer), the
-    conv-bucket exchange — the pipeline's single all-to-all — is elided
-    and one task per file does read → sort → kernels
-    (:func:`flagship_prepartitioned`). Otherwise the general exchange
-    path (:func:`flagship`) runs. Both paths are value-identical
+    """Flagship over a parquet dir, the plan picked from the STORAGE
+    layout (:func:`choose_plan`): on a declared conv-partitioned layout
+    (the bucketed-table contract) one task per file runs
+    :func:`featurize_bucket` and the exchange never happens; otherwise
+    :func:`flagship` runs. Both plans are value-identical
     (tests/test_flagship_auto.py)."""
-    from ptrail_ray.sources.transcripts import read_transcripts
-    from ptrail_ray.state.manifest import conv_partitioned_files
+    import ray.data as rd
 
-    files = conv_partitioned_files(path)
-    if files is not None:
-        return flagship_prepartitioned(
+    files = choose_plan(path, hot_threshold=hot_threshold)
+    if files is None:
+        ds = read_transcripts(
             path,
+            **({"override_num_blocks": read_blocks} if read_blocks else {}),
+        )
+        return flagship(
+            ds,
             side,
+            num_buckets=num_buckets,
             gap_seconds=gap_seconds,
             features=features,
-            asof_concurrency=asof_concurrency,
-            files=files,
+            hot_threshold=hot_threshold,
         )
-    ds = read_transcripts(
-        path,
-        **({"override_num_blocks": read_blocks} if read_blocks else {}),
-    )
-    return flagship(
-        ds,
-        side,
-        num_buckets=num_buckets,
-        gap_seconds=gap_seconds,
-        features=features,
-        asof_concurrency=asof_concurrency,
-        hot_threshold=hot_threshold,
-    )
+
+    side_ref = None if side is None else put_side_table(side)
+
+    def process_file(batch) -> pa.Table:
+        return pa.concat_tables(
+            featurize_bucket(
+                pq.read_table(f, columns=TRANSCRIPT_COLUMNS),
+                side_ref=side_ref,
+                gap_seconds=gap_seconds,
+                features=features,
+            )
+            for f in batch["item"]
+        )
+
+    return rd.from_items(files).map_batches(process_file, batch_size=1)

@@ -7,12 +7,17 @@ with the greatest ``effective_ts <= ts`` for the turn's join key —
 inclusive boundary, never a future version (zero temporal leakage,
 SURVEY.md §2.5).
 
-Ray design: the side table is small (a dimension) → ``ray.put`` ONCE on
-the driver, then an **actor pool** (``map_batches(AsofJoiner,
-concurrency=N)``) reads it from the object store in ``__init__`` (once
-per actor), builds a sorted composite index, and probes each batch with
-ONE vectorized ``np.searchsorted`` — no shuffle, no per-batch sort, no
-pandas merge. Payload columns (text, features) stay zero-copy Arrow.
+Ray design: the side table is small (a dimension) → ``ray.put`` ONCE by
+the caller; the probing code builds an :class:`AsofJoiner` from the ref
+(a sorted composite index, cheap next to a bucket's featurization) and
+probes with ONE vectorized ``np.searchsorted`` — no shuffle, no
+per-batch sort, no pandas merge. Payload columns (text, features) stay
+zero-copy Arrow. The flagship builds one joiner per bucket, inside its
+bucket task (``pipelines.flagship.featurize_bucket``); :func:`asof_join`
+/ :func:`nearest_asof_join` are plain task stages that build one per
+batch and fuse with their upstream. There is no actor pool: a pool
+reserves CPUs the upstream tasks then cannot get, which hangs a 1-CPU
+cluster.
 
 Composite index: side rows sorted by (key, effective_ts) are encoded as
 ``key_id << TS_BITS | (ts - ts_min)`` in uint64; a probe row's
@@ -37,8 +42,8 @@ SIDE_COLS = ["key", "effective_ts", "attr_num", "attr_cat"]
 
 
 def put_side_table(side: "pa.Table | pd.DataFrame"):
-    """Broadcast the dimension once; returns the object ref handed to
-    every AsofJoiner actor."""
+    """Broadcast the dimension once; returns the object ref every
+    AsofJoiner is built from."""
     if isinstance(side, pa.Table):
         side = side.to_pandas()
     side = side.sort_values(["key", "effective_ts"], kind="stable").reset_index(
@@ -48,7 +53,9 @@ def put_side_table(side: "pa.Table | pd.DataFrame"):
 
 
 class AsofJoiner:
-    """Actor-pool stage: per-batch vectorized point-in-time join."""
+    """Per-batch vectorized point-in-time join. ``side_ref`` is a
+    :func:`put_side_table` ref or the side table as a pandas frame; the
+    index is built once, then the joiner is called on each table."""
 
     def __init__(self, side_ref, key_col: str = "conv_id", ts_col: str = TS):
         side = ray.get(side_ref) if not isinstance(side_ref, pd.DataFrame) else side_ref
@@ -111,46 +118,30 @@ class AsofJoiner:
         return batch
 
 
+def _probe_stage(ds, joiner_cls, side, key_col: str, batch_size):
+    side_ref = put_side_table(side)
+
+    def probe(batch: pa.Table) -> pa.Table:
+        return joiner_cls(side_ref, key_col=key_col)(batch)
+
+    return ds.map_batches(probe, batch_format="pyarrow", batch_size=batch_size)
+
+
 def asof_join(
     ds,
     side: "pa.Table | pd.DataFrame",
     *,
     key_col: str = "conv_id",
-    concurrency: "int | tuple" = (1, 8),
     batch_size: "int | None" = 65536,
-    num_cpus: float = 0.5,
 ):
-    """Dataset-level as-of backfill: broadcast ``side`` and join in an
-    actor pool. Appends ``attr_num`` (float64) and ``attr_cat`` (string);
-    turns with no version at or before ``ts`` get nulls.
-
-    ``concurrency``: an int pins the pool size (all actors spawn at
-    execution start — use for throughput runs); a (min, max) tuple
-    autoscales (use when CPU budget is tight).
-
-    ``num_cpus=0.5`` is load-bearing, not a tuning nicety: with the
-    default (1.0) Ray's planner FUSES the upstream task-based stage
-    into this actor pool, so an expensive window-kernel stage ends up
-    running on ``concurrency`` actors while every other CPU idles
-    (measured r04: the fused plan ran the whole kernel+asof phase on
-    NUM_CPUS/4 actors — 40-55 s vs 36-39 s unfused at 4 CPUs on the
-    29M-turn bench corpus). A distinct resource spec blocks that
-    fusion AND halves the pool's CPU reservation, leaving the kernels
-    to a full-width task pool; the probe itself is one vectorized
-    searchsorted per batch and nowhere near a core's worth of work."""
-    side_ref = put_side_table(side)
-    return ds.map_batches(
-        AsofJoiner,
-        fn_constructor_kwargs={"side_ref": side_ref, "key_col": key_col},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
-    )
+    """Dataset-level as-of backfill: broadcast ``side`` and probe it in
+    a task stage. Appends ``attr_num`` (float64) and ``attr_cat``
+    (string); turns with no version at or before ``ts`` get nulls."""
+    return _probe_stage(ds, AsofJoiner, side, key_col, batch_size)
 
 
 class NearestAsofJoiner(AsofJoiner):
-    """Actor-pool NEAREST-neighbor temporal join: instead of the
+    """NEAREST-neighbor temporal join: instead of the
     backward-only point-in-time match, each probe takes whichever of
     its key's (last version ≤ ts, first version > ts) is closer in
     absolute time, ties going to the EARLIER version. Same broadcast
@@ -231,19 +222,8 @@ def nearest_asof_join(
     side: "pa.Table | pd.DataFrame",
     *,
     key_col: str = "conv_id",
-    concurrency: "int | tuple" = (1, 8),
     batch_size: "int | None" = 65536,
-    num_cpus: float = 0.5,
 ):
     """Dataset-level nearest-version temporal join (see
-    NearestAsofJoiner). Same broadcast/actor-pool/no-fusion plan as
-    asof_join."""
-    side_ref = put_side_table(side)
-    return ds.map_batches(
-        NearestAsofJoiner,
-        fn_constructor_kwargs={"side_ref": side_ref, "key_col": key_col},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
-    )
+    NearestAsofJoiner). Same broadcast task-stage plan as asof_join."""
+    return _probe_stage(ds, NearestAsofJoiner, side, key_col, batch_size)

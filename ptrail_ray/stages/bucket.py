@@ -55,11 +55,30 @@ def stable_hash(values: np.ndarray | pa.ChunkedArray | pa.Array) -> np.ndarray:
     return pd.util.hash_array(np.asarray(values), categorize=True)
 
 
-def add_bucket_column(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Append ``_bucket = stable_hash(conv_id) % num_buckets`` (int32)."""
-    h = stable_hash(batch[CONV_ID])
+def assign_bucket(
+    conv_ids, num_buckets: int, hot_convs: "list[str] | tuple" = ()
+) -> np.ndarray:
+    """Bucket id per row (int32): ``stable_hash(conv_ids) % num_buckets``.
+
+    The engine's one bucket hash. ``conv_ids`` may also be a list of key
+    columns; their hashes are then mixed (Fibonacci, uint64 wraparound,
+    order-sensitive) so every composite key still lands whole in one
+    bucket. Each conversation in ``hot_convs`` (salting, stages/salt.py)
+    instead gets its own dedicated bucket ``num_buckets + i``, ``i`` its
+    rank in sorted order, so no two hot conversations share a bucket and
+    no cold bucket inherits a whale.
+    """
+    cols = conv_ids if isinstance(conv_ids, list) else [conv_ids]
+    h = stable_hash(cols[0])
+    for c in cols[1:]:
+        h = h * np.uint64(0x9E3779B97F4A7C15) + stable_hash(c)
     bucket = (h % np.uint64(num_buckets)).astype(np.int32)
-    return batch.append_column(BUCKET_COL, pa.array(bucket, type=pa.int32()))
+    if len(hot_convs):
+        hot = pa.array(sorted(hot_convs), type=pa.string())
+        hot_idx = pc.fill_null(pc.index_in(cols[0], value_set=hot), -1)
+        hot_np = hot_idx.to_numpy(zero_copy_only=False)
+        bucket = np.where(hot_np >= 0, num_buckets + hot_np, bucket).astype(np.int32)
+    return bucket
 
 
 DEFAULT_SORT_KEYS = (CONV_ID, TURN_IDX, TS)
@@ -96,7 +115,7 @@ def map_conv_buckets(
     fn: Callable[[pa.Table], pa.Table],
     *,
     num_buckets: int = DEFAULT_NUM_BUCKETS,
-    drop_bucket: bool = True,
+    hot_convs: "list[str] | tuple" = (),
     key_col: str = CONV_ID,
     sort_keys: tuple = DEFAULT_SORT_KEYS,
     **map_groups_kwargs,
@@ -106,17 +125,17 @@ def map_conv_buckets(
     ``fn`` receives one bucket as a ``pyarrow.Table`` already sorted by
     ``sort_keys`` (default (conv_id, turn_idx, ts)) and must return a
     ``pyarrow.Table``. This is the engine's single wide shuffle;
-    everything downstream is narrow and order-preserving.
+    everything downstream is narrow and order-preserving. ``hot_convs``
+    salts the exchange: each gets a dedicated bucket (`assign_bucket`).
     """
 
     def _wrapped(table: pa.Table) -> pa.Table:
-        if drop_bucket and BUCKET_COL in table.column_names:
+        if BUCKET_COL in table.column_names:
             table = table.drop_columns([BUCKET_COL])
         return fn(sort_bucket(table, sort_keys))
 
     def _add_bucket(batch: pa.Table) -> pa.Table:
-        h = stable_hash(batch[key_col])
-        bucket = (h % np.uint64(num_buckets)).astype(np.int32)
+        bucket = assign_bucket(batch[key_col], num_buckets, hot_convs)
         return batch.append_column(BUCKET_COL, pa.array(bucket, type=pa.int32()))
 
     return (
@@ -159,11 +178,7 @@ def grouped_agg_by_bucket(
     key_cols = [key_col] if isinstance(key_col, str) else list(key_col)
 
     def add_key_bucket(batch: pa.Table) -> pa.Table:
-        h = stable_hash(batch[key_cols[0]])
-        for c in key_cols[1:]:
-            # Fibonacci mix (uint64 wraparound) — order-sensitive combine
-            h = h * np.uint64(0x9E3779B97F4A7C15) + stable_hash(batch[c])
-        b = (h % np.uint64(num_buckets)).astype(np.int32)
+        b = assign_bucket([batch[c] for c in key_cols], num_buckets)
         return batch.append_column(BUCKET_COL, pa.array(b, pa.int32()))
 
     if group_format == "pyarrow":

@@ -10,10 +10,11 @@ handles skew explicitly (north_rule):
    (vectorized ``value_counts``) → a tiny ``groupby(conv_id).sum``
    over the partials (rows ≈ #distinct convs per block, not #turns) →
    conversations above ``hot_threshold`` rows.
-2. **Salt** — bucket assignment becomes
-   ``hash(conv_id) % B`` for cold conversations and a **dedicated
-   partition** ``B + hot_index`` per hot conversation, so no two hot
-   conversations share a bucket and no cold bucket inherits a whale.
+2. **Salt** — bucket assignment (``stages.bucket.assign_bucket``)
+   becomes ``hash(conv_id) % B`` for cold conversations and a
+   **dedicated partition** ``B + hot_index`` per hot conversation, so no
+   two hot conversations share a bucket and no cold bucket inherits a
+   whale.
    Whole-conversation contiguity (what the window kernels need) is
    preserved — a conversation is never split.
 
@@ -25,12 +26,10 @@ giant conversations automatically).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ptrail_ray.schema import CONV_ID
-from ptrail_ray.stages.bucket import BUCKET_COL, sort_bucket, stable_hash
 
 DEFAULT_HOT_THRESHOLD = 100_000
 
@@ -76,44 +75,6 @@ def detect_hot_convs(
     return sorted(r[CONV_ID] for r in hot.take_all())
 
 
-def map_conv_buckets_salted(
-    ds,
-    fn,
-    *,
-    num_buckets: int = 32,
-    hot_threshold: int = DEFAULT_HOT_THRESHOLD,
-    hot_convs: list[str] | None = None,
-    **map_groups_kwargs,
-):
-    """``map_conv_buckets`` with hot-key salting: each hot conversation
-    gets its own dedicated partition id ≥ num_buckets."""
-    if hot_convs is None:
-        hot_convs = detect_hot_convs(ds, hot_threshold)
-    hot_arr = pa.array(hot_convs, type=pa.string())
-
-    def add_salted_bucket(batch: pa.Table) -> pa.Table:
-        h = stable_hash(batch[CONV_ID])
-        bucket = (h % np.uint64(num_buckets)).astype(np.int32)
-        if len(hot_arr):
-            hot_idx = pc.index_in(batch[CONV_ID], value_set=hot_arr)
-            hot_np = pc.fill_null(hot_idx, -1).to_numpy(zero_copy_only=False)
-            bucket = np.where(hot_np >= 0, num_buckets + hot_np, bucket).astype(
-                np.int32
-            )
-        return batch.append_column(BUCKET_COL, pa.array(bucket, pa.int32()))
-
-    def wrapped(table: pa.Table) -> pa.Table:
-        if BUCKET_COL in table.column_names:
-            table = table.drop_columns([BUCKET_COL])
-        return fn(sort_bucket(table))
-
-    return (
-        ds.map_batches(add_salted_bucket, batch_format="pyarrow", batch_size=262144)
-        .groupby(BUCKET_COL)
-        .map_groups(wrapped, batch_format="pyarrow", **map_groups_kwargs)
-    )
-
-
 def featurize_salted(
     ds,
     features: list[str] | None = None,
@@ -124,13 +85,13 @@ def featurize_salted(
     segment_seconds: float = 3600.0,
 ):
     """Skew-aware variant of ``kernels.featurize`` — identical output."""
-    from ptrail_ray.stages.kernels import compute_features
+    from ptrail_ray.stages.kernels import featurize
 
-    return map_conv_buckets_salted(
+    return featurize(
         ds,
-        lambda t: compute_features(
-            t, features, gap_seconds=gap_seconds, segment_seconds=segment_seconds
-        ),
+        features,
         num_buckets=num_buckets,
-        hot_threshold=hot_threshold,
+        gap_seconds=gap_seconds,
+        segment_seconds=segment_seconds,
+        hot_convs=detect_hot_convs(ds, hot_threshold),
     )

@@ -94,36 +94,30 @@ def _sub_kernel(table: pa.Table, features: list[str], gap_seconds: float,
     by SKEY; each group = carry + own rows of one sub-range."""
     starts, lengths = conv_runs(table[SKEY_COL])
     pieces = []
-    for r in range(len(starts)):
-        sl = table.slice(starts[r], lengths[r])
-        # order within the sub-range
-        sl = sl.take(
-            pc.sort_indices(
-                sl, sort_keys=[(TURN_IDX, "ascending"), (TS, "ascending")]
-            )
-        )
-        # run the fused chain treating this slice as one run (SKEY is
-        # constant → one conv run)
+    for start, length in zip(starts, lengths):
+        # the bucket arrives sorted by (SKEY, turn_idx, ts), so the slice
+        # is one ordered run (SKEY is constant → one conv run)
         feats = compute_features(
-            sl, features, gap_seconds=gap_seconds, segment_seconds=segment_seconds
+            table.slice(start, length),
+            features,
+            gap_seconds=gap_seconds,
+            segment_seconds=segment_seconds,
         )
-        carry = feats[CARRY_COL].to_numpy(zero_copy_only=False)
-        lead_carry_tail = np.zeros(len(carry), dtype=bool)
+        own = ~feats[CARRY_COL].to_numpy(zero_copy_only=False)
         # session partial: cumsum within slice minus the count accrued on
         # carry rows (gaps among the carries themselves don't belong to
         # this sub; the boundary gap carry[-1]→own[0] does)
-        sess = feats["session_id"].to_numpy(zero_copy_only=False).copy()
-        own_first = np.argmax(~carry) if (~carry).any() else None
-        if own_first is not None and own_first > 0:
+        sess = feats["session_id"].to_numpy(zero_copy_only=False)
+        own_first = int(np.argmax(own))
+        if own.any() and own_first > 0:
             sess = sess - sess[own_first - 1]
         feats = feats.set_column(
             feats.column_names.index("session_id"),
             "session_id",
             pa.array(sess, pa.int64()),
         )
-        pieces.append(feats.filter(pa.array(~carry)))
-    out = pa.concat_tables(pieces) if pieces else table.slice(0, 0)
-    return out
+        pieces.append(feats.filter(pa.array(own)))
+    return pa.concat_tables(pieces) if pieces else table.slice(0, 0)
 
 
 def featurize_split(
@@ -192,7 +186,9 @@ def featurize_split(
         )
         .to_pandas()
     )
-    first_ts = dict(zip(firsts_df[CONV_ID], firsts_df[TS].astype("datetime64[us]")))
+    first_ts = dict(
+        zip(firsts_df[CONV_ID], firsts_df[TS].astype("datetime64[us]").astype("int64"))
+    )
     first_m1 = dict(zip(firsts_df[CONV_ID], firsts_df["m1"].astype("int64")))
 
     import ray
@@ -203,7 +199,6 @@ def featurize_split(
         base_map_, first_ts_, first_m1_ = ray.get(state_ref)
         conv = t[CONV_ID].to_numpy(zero_copy_only=False)
         sub = t[SUB_COL].to_numpy(zero_copy_only=False)
-        turn = t[TURN_IDX].to_numpy(zero_copy_only=False).astype(np.int64)
         ts_col = t[TS]
         if pa.types.is_timestamp(ts_col.type) and ts_col.type.unit != "us":
             ts_col = pc.cast(ts_col, pa.timestamp("us"))
@@ -212,13 +207,8 @@ def featurize_split(
 
         # vectorized dict lookups over the (few) unique convs/subs in batch
         uconv, conv_inv = np.unique(conv, return_inverse=True)
-        fts = np.array(
-            [first_ts_[c].value // 1000 if hasattr(first_ts_[c], "value") else np.datetime64(first_ts_[c], "us").astype("int64") for c in uconv],
-            dtype=np.int64,
-        )
-        fm1 = np.array([first_m1_[c] for c in uconv], dtype=np.float64)
-        row_fts = fts[conv_inv]
-        row_fm1 = fm1[conv_inv]
+        row_fts = np.array([first_ts_[c] for c in uconv], dtype=np.int64)[conv_inv]
+        row_fm1 = np.array([first_m1_[c] for c in uconv], dtype=np.float64)[conv_inv]
         base = np.array(
             [base_map_[(c, int(s))] for c, s in zip(conv, sub)], dtype=np.int64
         )
@@ -227,36 +217,24 @@ def featurize_split(
         # start IS the conversation start, so NaN-seeding and dup-row tie
         # semantics match the whole-conversation path bit for bit); only
         # rows of later sub-ranges need the conversation-level state
-        # injected. base is 0 for sub 0 by construction.
+        # injected. base is 0 for sub 0 by construction. Stateful features
+        # that were not requested are not in the table and stay absent.
         fix = sub > 0
         rel = (ts - row_fts) / 1e6
-
-        def col_or(name, fallback):
+        fixed = {
+            "session_id": lambda old: pa.array(old + base, pa.int64()),
+            "elapsed_s": lambda old: pa.array(np.where(fix, rel, old)),
+            "cum_len": lambda old: pa.array(np.where(fix, m1 - row_fm1, old)),
+            "seg_id": lambda old: pa.array(
+                np.where(fix, np.floor_divide(rel, segment_seconds).astype(np.int64), old),
+                pa.int64(),
+            ),
+        }
+        for name, fix_col in fixed.items():
             if name in t.column_names:
-                return t[name].to_numpy(zero_copy_only=False)
-            return fallback
-
-        elapsed_old = col_or("elapsed_s", rel)
-        cum_old = col_or("cum_len", m1 - row_fm1)
-        seg_old = col_or("seg_id", np.floor_divide(rel, segment_seconds).astype(np.int64))
-        elapsed = np.where(fix, rel, elapsed_old)
-        cum = np.where(fix, m1 - row_fm1, cum_old)
-        seg = np.where(
-            fix, np.floor_divide(rel, segment_seconds).astype(np.int64), seg_old
-        )
-        sess = col_or("session_id", np.zeros(len(sub), np.int64)) + base
-
-        for name, arr in [
-            ("session_id", pa.array(sess, pa.int64())),
-            ("elapsed_s", pa.array(elapsed)),
-            ("cum_len", pa.array(cum)),
-            ("seg_id", pa.array(seg, pa.int64())),
-        ]:
-            if name in t.column_names:
-                t = t.set_column(t.column_names.index(name), name, arr)
-            elif name in (features or []):
-                t = t.append_column(name, arr)
-        return t.drop_columns([c for c in (SUB_COL, CARRY_COL, SKEY_COL) if c in t.column_names])
+                old = t[name].to_numpy(zero_copy_only=False)
+                t = t.set_column(t.column_names.index(name), name, fix_col(old))
+        return t.drop_columns([SUB_COL, CARRY_COL, SKEY_COL])
 
     return passa.map_batches(pass_b, batch_format="pyarrow", batch_size=262144)
 
@@ -281,29 +259,13 @@ def featurize_with_split(
     # so it must be exhaustive — the salting floor heuristic could miss
     # a giant spread thinly over many blocks (ADVICE r01)
     giants = detect_hot_convs(ds, split_threshold, floor=1)
+    kw = dict(
+        num_buckets=num_buckets, gap_seconds=gap_seconds, segment_seconds=segment_seconds
+    )
     if not giants:
-        return featurize(
-            ds,
-            features,
-            num_buckets=num_buckets,
-            gap_seconds=gap_seconds,
-            segment_seconds=segment_seconds,
-        )
-    cold = semi_join_keys(ds, giants, anti=True)
-    hot = semi_join_keys(ds, giants)
-    a = featurize(
-        cold,
-        features,
-        num_buckets=num_buckets,
-        gap_seconds=gap_seconds,
-        segment_seconds=segment_seconds,
+        return featurize(ds, features, **kw)
+    cold = featurize(semi_join_keys(ds, giants, anti=True), features, **kw)
+    hot = featurize_split(
+        semi_join_keys(ds, giants), features, subrange_rows=subrange_rows, **kw
     )
-    b = featurize_split(
-        hot,
-        features,
-        subrange_rows=subrange_rows,
-        num_buckets=num_buckets,
-        gap_seconds=gap_seconds,
-        segment_seconds=segment_seconds,
-    )
-    return a.union(b)
+    return cold.union(hot)

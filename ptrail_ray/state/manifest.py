@@ -30,26 +30,33 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ptrail_ray.stages.bucket import BUCKET_COL
+from ptrail_ray.stages.bucket import BUCKET_COL, assign_bucket, sort_bucket
 
 MANIFEST_DIR = "_manifest"
 KERNEL_VERSION = 1
 
 
-def _manifest_path(out_dir: str, bucket: int) -> str:
-    return os.path.join(out_dir, MANIFEST_DIR, f"bucket={bucket:05d}.json")
+def _manifest_path(out_dir: str, name: str) -> str:
+    return os.path.join(out_dir, MANIFEST_DIR, f"{name}.json")
 
 
-def _job_manifest_path(out_dir: str) -> str:
-    return os.path.join(out_dir, MANIFEST_DIR, "job.json")
+def _save_json(path: str, obj: dict) -> None:
+    """Atomic JSON write: tmp file, then rename into place."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path + ".tmp", "w") as fh:
+        json.dump(obj, fh)
+    os.replace(path + ".tmp", path)
+
+
+def _load_json(path: str) -> dict | None:
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def load_job_manifest(out_dir: str) -> dict | None:
-    p = _job_manifest_path(out_dir)
-    if not os.path.exists(p):
-        return None
-    with open(p) as fh:
-        return json.load(fh)
+    return _load_json(_manifest_path(out_dir, "job"))
 
 
 def save_job_manifest(out_dir: str, config: dict) -> None:
@@ -59,15 +66,7 @@ def save_job_manifest(out_dir: str, config: dict) -> None:
     heuristic depends on block boundaries (ncpu / override_num_blocks),
     so a resume with different --num-cpus could shift salted bucket ids
     and silently skip rows that were never written (ADVICE r01)."""
-    os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
-    p = _job_manifest_path(out_dir)
-    with open(p + ".tmp", "w") as fh:
-        json.dump(config, fh)
-    os.replace(p + ".tmp", p)
-
-
-def _layout_manifest_path(out_dir: str) -> str:
-    return os.path.join(out_dir, MANIFEST_DIR, "layout.json")
+    _save_json(_manifest_path(out_dir, "job"), config)
 
 
 def save_layout_manifest(
@@ -83,32 +82,24 @@ def save_layout_manifest(
     file ("conv_partitioned" — the bucketed-table contract). Written by
     the engine's own producers (the resumable sink's partition-only
     mode, the synthetic-corpus writer) once the layout is complete;
-    readers (`pipelines.flagship.flagship_auto`) use it to elide the
+    readers (`pipelines.flagship.choose_plan`) use it to elide the
     conv exchange automatically. ``files`` are paths RELATIVE to
     ``out_dir``; ``payload`` distinguishes raw transcript layouts
     (re-featurizable) from featurized outputs (not an input)."""
-    os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
-    p = _layout_manifest_path(out_dir)
-    with open(p + ".tmp", "w") as fh:
-        json.dump(
-            {
-                "payload": payload,
-                "conv_partitioned": bool(conv_partitioned),
-                "files": list(files),
-                "producer": producer,
-                "kernel_version": KERNEL_VERSION,
-            },
-            fh,
-        )
-    os.replace(p + ".tmp", p)
+    _save_json(
+        _manifest_path(out_dir, "layout"),
+        {
+            "payload": payload,
+            "conv_partitioned": bool(conv_partitioned),
+            "files": list(files),
+            "producer": producer,
+            "kernel_version": KERNEL_VERSION,
+        },
+    )
 
 
 def load_layout_manifest(out_dir: str) -> dict | None:
-    p = _layout_manifest_path(out_dir)
-    if not os.path.exists(p):
-        return None
-    with open(p) as fh:
-        return json.load(fh)
+    return _load_json(_manifest_path(out_dir, "layout"))
 
 
 def conv_partitioned_files(path: str) -> "list[str] | None":
@@ -165,7 +156,6 @@ def write_bucket(
     t0 = time.perf_counter()
     bdir = os.path.join(out_dir, f"bucket={bucket:05d}")
     os.makedirs(bdir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, MANIFEST_DIR), exist_ok=True)
 
     data_tmp = os.path.join(bdir, f"part.{data_format}.tmp")
     data_final = os.path.join(bdir, f"part.{data_format}")
@@ -189,10 +179,7 @@ def write_bucket(
         "wall_s": round(time.perf_counter() - t0, 4),
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    mp = _manifest_path(out_dir, bucket)
-    with open(mp + ".tmp", "w") as fh:
-        json.dump(manifest, fh)
-    os.replace(mp + ".tmp", mp)
+    _save_json(_manifest_path(out_dir, f"bucket={bucket:05d}"), manifest)
 
 
 def write_resumable(
@@ -203,7 +190,7 @@ def write_resumable(
     num_buckets: int = 32,
     lineage: str = "",
     resume: bool = True,
-    hot_convs: "list[str] | None" = None,
+    hot_convs: "list[str] | tuple" = (),
     data_format: str = "parquet",
 ):
     """Run ``kernel_fn`` on conv-contiguous buckets and write each result
@@ -216,28 +203,10 @@ def write_resumable(
     os.makedirs(out_dir, exist_ok=True)
     done = completed_buckets(out_dir) if resume else set()
 
-    from ptrail_ray.stages.bucket import sort_bucket, stable_hash
-
-    import pyarrow.compute as pc
-
-    hot_arr = pa.array(sorted(hot_convs or []), type=pa.string())
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = stable_hash(batch["conv_id"])
-        b = (h % np.uint64(num_buckets)).astype(np.int32)
-        if len(hot_arr):
-            # salted: hot conversations get dedicated partitions >= num_buckets
-            hot_idx = pc.fill_null(
-                pc.index_in(batch["conv_id"], value_set=hot_arr), -1
-            ).to_numpy(zero_copy_only=False)
-            b = np.where(hot_idx >= 0, num_buckets + hot_idx, b).astype(np.int32)
-        return batch.append_column(BUCKET_COL, pa.array(b, pa.int32()))
-
-    def not_done(batch: pa.Table) -> pa.Table:
-        if not done:
-            return batch
-        keep = ~np.isin(batch[BUCKET_COL].to_numpy(zero_copy_only=False), list(done))
-        return batch.filter(pa.array(keep))
+    def pending_with_bucket(batch: pa.Table) -> pa.Table:
+        b = assign_bucket(batch["conv_id"], num_buckets, hot_convs)
+        batch = batch.append_column(BUCKET_COL, pa.array(b, pa.int32()))
+        return batch.filter(pa.array(~np.isin(b, list(done)))) if done else batch
 
     def write_group(table: pa.Table) -> pa.Table:
         if table.num_rows == 0:
@@ -251,8 +220,7 @@ def write_resumable(
         )
 
     summary = (
-        ds.map_batches(add_bucket, batch_format="pyarrow", batch_size=262144)
-        .map_batches(not_done, batch_format="pyarrow", batch_size=None)
+        ds.map_batches(pending_with_bucket, batch_format="pyarrow", batch_size=262144)
         .groupby(BUCKET_COL)
         .map_groups(write_group, batch_format="pyarrow")
         .to_pandas()

@@ -52,7 +52,7 @@ def _mk_side():
 def test_asof_inclusive_and_null_backfill(ray_session):
     turns, side = _mk_turns(), _mk_side()
     out = (
-        asof_join(rd.from_pandas(turns), side, concurrency=1)
+        asof_join(rd.from_pandas(turns), side)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx"])
         .reset_index(drop=True)
@@ -83,7 +83,7 @@ def test_asof_matches_bruteforce_oracle(synth_pdf, ray_session):
         }
     ).drop_duplicates(subset=["key", "effective_ts"])
     got = (
-        asof_join(rd.from_pandas(turns), side, concurrency=2)
+        asof_join(rd.from_pandas(turns), side)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "ts"])
         .reset_index(drop=True)

@@ -33,7 +33,7 @@ def test_empty_side_table(synth_ds, ray_session):
             "attr_cat": pd.Series([], dtype=str),
         }
     )
-    out = asof_join(synth_ds, side, concurrency=1).to_pandas()
+    out = asof_join(synth_ds, side).to_pandas()
     assert out["attr_num"].isna().all()
     assert out["attr_cat"].isna().all()
 

@@ -1,8 +1,9 @@
 """Driver-contract smoke tests for __ray_entry__."""
 
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import __ray_entry__ as entrymod
 

@@ -71,15 +71,14 @@ def test_flagship_auto_value_identical_both_plans(ray_session):
                     hot_turns=200)
         side = side_scd_from_events("/root/testdata/sf0.001")
         ref = _sorted_df(
-            flagship(read_transcripts(d), side, num_buckets=8,
-                     asof_concurrency=2)
+            flagship(read_transcripts(d), side, num_buckets=8)
         )
         assert conv_partitioned_files(d) is not None
-        elided = _sorted_df(flagship_auto(d, side, asof_concurrency=2))
+        elided = _sorted_df(flagship_auto(d, side))
         os.remove(os.path.join(d, "_manifest", "layout.json"))
         assert conv_partitioned_files(d) is None
         general = _sorted_df(
-            flagship_auto(d, side, num_buckets=8, asof_concurrency=2)
+            flagship_auto(d, side, num_buckets=8)
         )
     assert list(ref.columns) == list(elided.columns)
     pd.testing.assert_frame_equal(ref, elided[ref.columns], check_dtype=False)
@@ -92,7 +91,7 @@ def test_job_partition_only_layout_roundtrip(ray_session, tmp_path):
     featurizing the original corpus through the exchange."""
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from tools.job import main as job_main
 
     from ptrail_ray.pipelines.flagship import flagship, flagship_auto
@@ -132,7 +131,7 @@ def test_job_prepartitioned_plan_matches_exchange_plan(ray_session, tmp_path):
     import json
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from tools.job import main as job_main
 
     from ptrail_ray.sources.transcripts import write_synth
@@ -170,7 +169,7 @@ def test_job_sf_side_runs_asof_backfill(ray_session, tmp_path):
     import glob
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from tools.job import main as job_main
 
     from ptrail_ray.pipelines.flagship import flagship
@@ -192,7 +191,7 @@ def test_job_sf_side_runs_asof_backfill(ray_session, tmp_path):
 
     ref = _sorted_df(
         flagship(read_transcripts(src), side_scd_from_events(sfd),
-                 num_buckets=4, asof_concurrency=2)
+                 num_buckets=4)
     )
 
     def load(d):
@@ -216,7 +215,7 @@ def test_job_refuses_cross_plan_resume(ray_session, tmp_path):
     import shutil
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from tools.job import main as job_main
 
     from ptrail_ray.sources.transcripts import write_synth
@@ -254,7 +253,7 @@ def test_job_split_threshold_with_sf_side_backfills_both_arms(
     import glob
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from tools.job import main as job_main
 
     from ptrail_ray.sources.transcripts import write_synth
@@ -286,7 +285,7 @@ def test_verify_layout_proves_and_refutes(ray_session, tmp_path):
     split conversation when a producer lied."""
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import pyarrow as pa
 
     from tools.verify_layout import verify_layout

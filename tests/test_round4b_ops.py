@@ -632,7 +632,7 @@ def test_flagship_prepartitioned_value_identical(ray_session):
     import os
     import tempfile
 
-    from ptrail_ray.pipelines.flagship import flagship, flagship_prepartitioned
+    from ptrail_ray.pipelines.flagship import flagship, flagship_auto
     from ptrail_ray.sources.transcripts import (
         read_transcripts,
         side_scd_from_events,
@@ -644,14 +644,13 @@ def test_flagship_prepartitioned_value_identical(ray_session):
                     hot_turns=300)
         side = side_scd_from_events("/root/testdata/sf0.001")
         a = (
-            flagship(read_transcripts(d), side, num_buckets=8,
-                     asof_concurrency=2)
+            flagship(read_transcripts(d), side, num_buckets=8)
             .to_pandas()
             .sort_values(["conv_id", "turn_idx", "ts"])
             .reset_index(drop=True)
         )
         b = (
-            flagship_prepartitioned(d, side, asof_concurrency=2)
+            flagship_auto(d, side)
             .to_pandas()
             .sort_values(["conv_id", "turn_idx", "ts"])
             .reset_index(drop=True)

@@ -120,9 +120,10 @@ def test_sparse_cosine_pairs_matches_brute_force(ray_session, seed):
 
 
 def test_job_prepartitioned_resume_rejects_changed_input(ray_session, tmp_path):
+    import os
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from tools.job import main as job_main
 
     from ptrail_ray.sources.transcripts import write_synth

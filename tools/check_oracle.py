@@ -11,6 +11,7 @@ else exact). Usage:
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -127,7 +128,7 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()

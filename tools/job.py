@@ -23,171 +23,134 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 # allow running as `python tools/job.py` from anywhere (repo root on path;
 # under `ray job submit --working-dir` the cwd is already the repo root)
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def _side_ref(args):
-    """Broadcast the SCD side table once when --sf-side is given (it was
-    a documented-but-dead CLI arg before r05); per-bucket kernels then
-    run the same point-in-time backfill as the flagship pipeline by
-    constructing an AsofJoiner from the ref (small-side contract: the
-    index build per bucket is trivial next to the featurization)."""
-    if not args.sf_side:
-        return None
-    from ptrail_ray.sources.transcripts import side_scd_from_events
-    from ptrail_ray.stages.asof import put_side_table
-
-    return put_side_table(side_scd_from_events(args.sf_side))
-
-
-def _run_prepartitioned(args, files, t0, owns_session):
-    """Exchange-free job plan over a declared conv-partitioned input:
-    one Ray task per input file (bucket index == file index), each
-    read → sort → project → fused kernels → atomic bucket write.
-    Resume skips file indices whose manifests exist — same contract as
-    the exchange plan, no shuffle, no spill."""
-    import time
-
-    import pyarrow as pa
+def _write_per_file(files, out_dir, done, featurize, data_format) -> int:
+    """Exchange-free plan over a declared conv-partitioned input: one
+    Ray task per pending input file (bucket index == file index) runs
+    the flagship bucket kernel and writes its bucket atomically — no
+    shuffle, no spill. Returns the number of buckets written."""
     import pyarrow.parquet as pq
-    import ray
     import ray.data as rd
 
-    from ptrail_ray.pipelines.flagship import project_measures
     from ptrail_ray.schema import TRANSCRIPT_COLUMNS
-    from ptrail_ray.stages.bucket import sort_bucket
-    from ptrail_ray.stages.kernels import compute_features
-    from ptrail_ray.stages.temporal import add_temporal_columns
+    from ptrail_ray.state.manifest import write_bucket
+
+    todo = [{"idx": i, "path": f} for i, f in enumerate(files) if i not in done]
+    if not todo:
+        return 0
+
+    def process(batch):
+        for i, f in zip(batch["idx"], batch["path"]):
+            t = featurize(pq.read_table(f, columns=TRANSCRIPT_COLUMNS))
+            write_bucket(t, int(i), out_dir, lineage=str(f), data_format=data_format)
+        return batch[["idx"]]
+
+    return rd.from_items(todo).map_batches(
+        process, batch_size=1, batch_format="pandas"
+    ).count()
+
+
+def _write_exchange(args, ds, config, side, featurize, resume) -> int:
+    """Conv-bucket exchange plan (write_resumable), plus the sub-range
+    split arm for giant conversations. Returns the number of buckets
+    written."""
+    from ptrail_ray.pipelines.flagship import project_measures
     from ptrail_ray.state.manifest import (
         completed_buckets,
-        load_job_manifest,
-        load_metrics,
         save_job_manifest,
-        save_layout_manifest,
-        write_bucket,
+        write_resumable,
     )
 
-    resume = not args.no_resume
-    prior = load_job_manifest(args.output) if resume else None
-    if prior is not None:
-        # plans must not mix: an exchange-plan manifest (no "plan" key)
-        # numbers buckets by HASH, this plan numbers them by FILE index
-        # — resuming across plans would silently reinterpret completed
-        # bucket ids (code-review r05). Missing key == exchange plan.
-        if prior.get("plan") != "prepartitioned":
-            raise SystemExit(
-                "output dir was written by the exchange plan but the "
-                "input now declares a conv-partitioned layout; bucket "
-                "ids are not comparable across plans — use a fresh "
-                "--output or pass --no-resume to restart"
+    hot, giants = config["hot_convs"], config["giants"]
+    if giants:
+        import pyarrow.dataset as pads
+
+        from ptrail_ray.sources.transcripts import read_transcripts
+        from ptrail_ray.stages.project import semi_join_keys
+
+        ds = semi_join_keys(ds, giants, anti=True)
+        if not config.get("giants_done", False):
+            import shutil
+
+            from ptrail_ray.stages.asof import asof_join
+            from ptrail_ray.stages.split import featurize_split
+
+            # giants are <<1% of rows: push the membership filter into the
+            # parquet scan (row-group stats + C++ scan-level filtering)
+            # instead of shipping every non-giant row into Ray to drop it
+            ds_giants = read_transcripts(
+                args.input, filter=pads.field("conv_id").isin(giants)
             )
-        for key, cli_val, flag in (
-            ("input", args.input, "--input"),
-            ("n_files", len(files), "(input file count)"),
-        ):
-            if key in prior and prior[key] != cli_val:
-                raise SystemExit(
-                    f"{flag} {cli_val!r} != {prior[key]!r} in the job "
-                    "manifest; resume must reuse the original plan "
-                    "(or pass --no-resume)"
-                )
+            gdir = os.path.join(args.output, "_giants")
+            # a previous interrupted run may have written partial files
+            # with no completion marker — clear before (re)writing
+            if os.path.isdir(gdir):
+                shutil.rmtree(gdir)
+            giants_out = featurize_split(
+                ds_giants.map_batches(
+                    project_measures, batch_format="pyarrow", batch_size=262144
+                ),
+                subrange_rows=max((args.split_threshold or 40_000) // 4, 10_000),
+                num_buckets=args.num_buckets,
+                gap_seconds=args.gap_seconds,
+            )
+            if side is not None:
+                # same backfill as the main arm — a consumer unioning
+                # both arms must see one schema (code-review r05)
+                giants_out = asof_join(giants_out, side)
+            giants_out.write_parquet(gdir)
+            save_job_manifest(args.output, {**config, "giants_done": True})
+
+    if args.partition_only:
+        # raw payload, text kept; write_resumable already sorts each
+        # bucket (conv, turn, ts) — the kernel is identity
+        def kern(table):
+            return table
+
     else:
-        save_job_manifest(
+        ds = ds.map_batches(
+            project_measures, batch_format="pyarrow", batch_size=262144
+        )
+        kern = featurize
+
+    # fast path: when every expected partition already has a manifest
+    # (cold hash buckets + one salted partition per hot conv), skip the
+    # read+shuffle entirely — a fully-completed job resumes in O(ls).
+    # (An input hash bucket that happened to be empty never writes a
+    # manifest, so this only triggers once genuinely everything is done.)
+    expected = set(range(args.num_buckets + len(hot)))
+    if resume and expected <= completed_buckets(args.output):
+        return 0
+    return len(
+        write_resumable(
+            ds,
             args.output,
-            {
-                "plan": "prepartitioned",
-                "input": args.input,
-                "n_files": len(files),
-                "num_buckets": len(files),
-            },
-        )
-
-    done = completed_buckets(args.output) if resume else set()
-    todo = [(i, f) for i, f in enumerate(files) if i not in done]
-    gap_seconds = args.gap_seconds
-    out_dir = args.output
-    data_format = args.data_format
-    side_ref = _side_ref(args)
-
-    def process(batch) -> pa.Table:
-        joiner = None
-        if side_ref is not None:
-            from ptrail_ray.stages.asof import AsofJoiner
-
-            joiner = AsofJoiner(side_ref)
-        written = []
-        for i, f in zip(batch["idx"], batch["path"]):
-            t = sort_bucket(pq.read_table(f, columns=TRANSCRIPT_COLUMNS))
-            t = add_temporal_columns(
-                compute_features(project_measures(t), gap_seconds=gap_seconds)
-            )
-            if joiner is not None:
-                t = joiner(t)
-            write_bucket(
-                t, int(i), out_dir, lineage=str(f), data_format=data_format
-            )
-            written.append((int(i), t.num_rows))
-        return pa.table(
-            {
-                "bucket": pa.array([w[0] for w in written], pa.int32()),
-                "rows": pa.array([w[1] for w in written], pa.int64()),
-            }
-        )
-
-    n_written = 0
-    if todo:
-        items = rd.from_items(
-            [{"idx": i, "path": f} for i, f in todo]
-        )
-        n_written = items.map_batches(
-            process, batch_size=1, num_cpus=1, batch_format="pandas"
-        ).count()
-
-    metrics = load_metrics(args.output)
-    rows = int(sum(m["rows"] for m in metrics))
-    if data_format == "parquet" and len(metrics) == len(files):
-        save_layout_manifest(
-            args.output,
-            [f"bucket={m['bucket']:05d}/part.parquet" for m in metrics],
-            payload="features",
-            producer="tools/job.py (prepartitioned plan)",
-        )
-
-    wall = time.perf_counter() - t0
-    validation = None
-    if args.validate:
-        input_rows = sum(pq.read_metadata(f).num_rows for f in files)
-        if rows != input_rows:
-            raise SystemExit(
-                f"row conservation FAILED: output={rows} != input={input_rows}"
-            )
-        validation = {
-            "input_rows": input_rows,
-            "main_rows": rows,
-            "giants_rows": 0,
-            "conserved": True,
-        }
-
-    print(
-        json.dumps(
-            {
-                "status": "ok",
-                "plan": "prepartitioned",
-                "wall_s": round(wall, 2),
-                "rows": rows,
-                **({"validation": validation} if validation else {}),
-                "buckets_written_this_run": int(n_written),
-                "buckets_total": len(metrics),
-                "hot_convs_salted": 0,
-                "giant_convs_split": 0,
-                "turns_per_sec": round(rows / wall, 1),
-                "output": args.output,
-            }
+            kern,
+            num_buckets=args.num_buckets,
+            lineage=args.input,
+            resume=resume,
+            hot_convs=hot,
+            data_format=args.data_format,
         )
     )
+
+
+def _parquet_rows(files=None, *, under: str = "") -> int:
+    """Metadata-only row count of ``files``, or of every parquet file
+    under the directory ``under``."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    if files is None:
+        files = glob.glob(os.path.join(under, "**", "*.parquet"), recursive=True)
+    return sum(pq.read_metadata(f).num_rows for f in files)
 
 
 def main(argv=None):
@@ -249,232 +212,126 @@ def main(argv=None):
     # sort shuffle + 4 read blocks per CPU keep the pre-sort pipeline fed
     DataContext.get_current().shuffle_strategy = "sort_shuffle_push_based"
 
-    from ptrail_ray.pipelines.flagship import project_measures
-    from ptrail_ray.sources.transcripts import read_transcripts
-    from ptrail_ray.stages.kernels import compute_features
+    from ptrail_ray.pipelines.flagship import choose_plan, featurize_bucket
+    from ptrail_ray.sources.transcripts import read_transcripts, side_scd_from_events
+    from ptrail_ray.stages.asof import put_side_table
     from ptrail_ray.stages.salt import detect_hot_convs
-    from ptrail_ray.stages.temporal import add_temporal_columns
     from ptrail_ray.state.manifest import (
+        completed_buckets,
         load_job_manifest,
         load_metrics,
         save_job_manifest,
-        write_resumable,
+        save_layout_manifest,
     )
 
     t0 = time.perf_counter()
     ncpu = int(ray.cluster_resources().get("CPU", 8))
 
-    # Layout-driven plan (VERDICT r04 #3, job side): when the INPUT dir
-    # declares a complete conversation-partitioned layout (the sink's
-    # own --partition-only output, or any producer that wrote
-    # _manifest/layout.json), the job runs one task per input file —
-    # read → sort → project → kernels → write bucket — and the
-    # all-to-all shuffle (and its object-store spill, which exceeds
-    # local disk on raw-text corpora well before 100 TB) never happens.
-    # Output bucket index == input file index, so resume semantics are
-    # identical. Salting/splitting knobs force the exchange plan (their
-    # bucket math assumes it); --partition-only of an already
-    # partitioned input is the exchange plan too (a re-bucket).
-    prepart_files = None
-    if (
-        not args.partition_only
-        and not args.hot_threshold
-        and not args.split_threshold
-    ):
-        from ptrail_ray.state.manifest import conv_partitioned_files
+    # Layout-driven plan (pipelines.flagship.choose_plan): an input that
+    # declares a complete conversation-partitioned layout runs one task
+    # per input file and the all-to-all shuffle (whose object-store spill
+    # exceeds local disk on raw-text corpora well before 100 TB) never
+    # happens. Output bucket index == input file index there, a hash
+    # bucket on the exchange plan.
+    files = choose_plan(
+        args.input,
+        hot_threshold=args.hot_threshold,
+        split_threshold=args.split_threshold,
+        partition_only=args.partition_only,
+    )
+    if files is None:
+        plan = "exchange"
+        ds = read_transcripts(args.input, override_num_blocks=max(8, ncpu * 4))
+        config = {
+            "num_buckets": args.num_buckets,
+            "input": args.input,
+            "hot_threshold": args.hot_threshold,
+            "split_threshold": args.split_threshold,
+        }
+    else:
+        plan = "prepartitioned"
+        config = {
+            "plan": plan,
+            "input": args.input,
+            "n_files": len(files),
+            "num_buckets": len(files),
+        }
 
-        prepart_files = conv_partitioned_files(args.input)
-
-    if prepart_files is not None:
-        _run_prepartitioned(args, prepart_files, t0, owns_session)
-        if owns_session:
-            ray.shutdown()
-        return
-
-    ds = read_transcripts(args.input, override_num_blocks=max(8, ncpu * 4))
-
-    # The bucket mapping (num_buckets + salted hot-conv ids + the giant
-    # set) must be IDENTICAL across resume runs — it is derived once on
-    # the first run, persisted in _manifest/job.json, and reused
+    # The bucket mapping (plan, num_buckets, salted hot-conv ids, the
+    # giant set) must be IDENTICAL across resume runs — it is derived once
+    # on the first run, persisted in _manifest/job.json, and reused
     # verbatim on resume. Re-detecting would tie the mapping to block
-    # boundaries (--num-cpus), risking silently skipped rows.
+    # boundaries (--num-cpus), risking silently skipped rows; resuming
+    # with a different input or threshold would skip "completed" buckets
+    # that never saw the new rows (ADVICE r02).
     resume = not args.no_resume
     prior = load_job_manifest(args.output) if resume else None
     if prior is not None:
-        # symmetric plan guard (code-review r05): a prepartitioned-plan
-        # output's bucket ids are FILE indices, not hash buckets
-        if prior.get("plan") == "prepartitioned":
+        # an exchange-plan manifest has no "plan" key; its bucket ids are
+        # hash buckets, a prepartitioned plan's are file indices
+        prior_plan = prior.get("plan", "exchange")
+        if prior_plan != plan:
             raise SystemExit(
-                "output dir was written by the prepartitioned plan but "
-                "this run takes the exchange plan (input layout "
-                "manifest absent or salting/splitting requested); "
-                "bucket ids are not comparable across plans — use a "
-                "fresh --output or pass --no-resume to restart"
+                f"output dir was written by the {prior_plan} plan but this "
+                f"run takes the {plan} plan; bucket ids are not comparable "
+                "across plans — use a fresh --output or pass --no-resume "
+                "to restart"
             )
-        # every partition-DEFINING parameter must match the manifest —
-        # resuming with a different input dir or different hot/giant
-        # thresholds would silently reuse bucket/hot/giant sets computed
-        # from a different corpus and skip "already-completed" buckets
-        # that never saw the new rows (ADVICE r02)
-        for cli_val, key, flag in (
-            (args.num_buckets, "num_buckets", "--num-buckets"),
-            (args.input, "input", "--input"),
-            (args.hot_threshold, "hot_threshold", "--hot-threshold"),
-            (args.split_threshold, "split_threshold", "--split-threshold"),
-        ):
-            if key in prior and prior[key] != cli_val:
+        for key, val in config.items():
+            if key in prior and prior[key] != val:
                 raise SystemExit(
-                    f"{flag} {cli_val!r} != {prior[key]!r} recorded in the "
-                    "job manifest; a resume must reuse the original "
+                    f"{key} {val!r} != {prior[key]!r} recorded in the job "
+                    "manifest; a resume must reuse the original "
                     "partition-defining parameters (or pass --no-resume "
                     "to restart)"
                 )
-        hot = prior["hot_convs"]
-        giants = prior["giants"]
-        giants_done = prior.get("giants_done", False)
+        config = prior
     else:
-        hot = (
-            detect_hot_convs(ds, args.hot_threshold) if args.hot_threshold else []
-        )
-        # exhaustive detection (floor=1) — the split path's memory
-        # contract must not miss a giant spread thinly across blocks
-        giants = (
-            detect_hot_convs(ds, args.split_threshold, floor=1)
-            if args.split_threshold
-            else []
-        )
-        giants_done = False
-        save_job_manifest(
-            args.output,
-            {
-                "num_buckets": args.num_buckets,
-                "hot_threshold": args.hot_threshold,
-                "hot_convs": hot,
-                "split_threshold": args.split_threshold,
-                "giants": giants,
-                "giants_done": False,
-                "input": args.input,
-            },
-        )
-
-    side_ref = _side_ref(args)
-
-    if giants:
-        import pyarrow.dataset as pads
-
-        from ptrail_ray.stages.project import semi_join_keys
-
-        # giants are <<1% of rows: push the membership filter into the
-        # parquet scan (row-group stats + C++ scan-level filtering)
-        # instead of shipping every non-giant row into Ray to drop it
-        ds_giants = read_transcripts(
-            args.input, filter=pads.field("conv_id").isin(giants)
-        )
-        ds = semi_join_keys(ds, giants, anti=True)
-        if not giants_done:
-            import shutil
-
-            from ptrail_ray.stages.split import featurize_split
-
-            gdir = os.path.join(args.output, "_giants")
-            # a previous interrupted run may have written partial files
-            # with no completion marker — clear before (re)writing
-            if os.path.isdir(gdir):
-                shutil.rmtree(gdir)
-            giants_out = featurize_split(
-                ds_giants.map_batches(
-                    project_measures, batch_format="pyarrow", batch_size=262144
-                ),
-                subrange_rows=max((args.split_threshold or 40_000) // 4, 10_000),
-                num_buckets=args.num_buckets,
-                gap_seconds=args.gap_seconds,
+        if files is None:
+            config["hot_convs"] = (
+                detect_hot_convs(ds, args.hot_threshold) if args.hot_threshold else []
             )
-            if side_ref is not None:
-                # same backfill as the main arm — a consumer unioning
-                # both arms must see one schema (code-review r05)
-                from ptrail_ray.stages.asof import AsofJoiner
-
-                giants_out = giants_out.map_batches(
-                    AsofJoiner,
-                    fn_constructor_args=(side_ref,),
-                    concurrency=(1, 4),
-                    batch_format="pyarrow",
-                    batch_size=65536,
-                    num_cpus=0.5,
-                )
-            giants_out.write_parquet(gdir)
-            cfg = load_job_manifest(args.output)
-            cfg["giants_done"] = True
-            save_job_manifest(args.output, cfg)
-
-    if args.partition_only:
-        # raw payload, text kept; write_resumable's write_group already
-        # sorts each bucket (conv, turn, ts) — the kernel is identity
-        def kern(table):
-            return table
-
-    else:
-        ds = ds.map_batches(
-            project_measures, batch_format="pyarrow", batch_size=262144
-        )
-
-        def kern(table):
-            out = add_temporal_columns(
-                compute_features(table, gap_seconds=args.gap_seconds)
+            # exhaustive detection (floor=1) — the split path's memory
+            # contract must not miss a giant spread thinly across blocks
+            config["giants"] = (
+                detect_hot_convs(ds, args.split_threshold, floor=1)
+                if args.split_threshold
+                else []
             )
-            if side_ref is not None:
-                from ptrail_ray.stages.asof import AsofJoiner
+            config["giants_done"] = False
+        save_job_manifest(args.output, config)
 
-                out = AsofJoiner(side_ref)(out)
-            return out
-
-    # fast path: when every expected partition already has a manifest
-    # (cold hash buckets + one salted partition per hot conv), skip the
-    # read+shuffle entirely — a fully-completed job resumes in O(ls).
-    # (An input hash bucket that happened to be empty never writes a
-    # manifest, so this only triggers once genuinely everything is done.)
-    from ptrail_ray.state.manifest import completed_buckets
-
-    expected = set(range(args.num_buckets)) | {
-        args.num_buckets + i for i in range(len(hot))
-    }
-    if resume and expected <= completed_buckets(args.output):
-        import pandas as pd
-
-        summary = pd.DataFrame({"bucket": [], "rows": []})
+    side = side_scd_from_events(args.sf_side) if args.sf_side else None
+    featurize = partial(
+        featurize_bucket,
+        side_ref=None if side is None else put_side_table(side),
+        gap_seconds=args.gap_seconds,
+    )
+    if files is None:
+        n_written = _write_exchange(args, ds, config, side, featurize, resume)
     else:
-        summary = write_resumable(
-            ds,
-            args.output,
-            kern,
-            num_buckets=args.num_buckets,
-            lineage=args.input,
-            resume=resume,
-            hot_convs=hot,
-            data_format=args.data_format,
+        done = completed_buckets(args.output) if resume else set()
+        n_written = _write_per_file(
+            files, args.output, done, featurize, args.data_format
         )
+
     metrics = load_metrics(args.output)
     wall = time.perf_counter() - t0
     rows = int(sum(m["rows"] for m in metrics))
 
     # layout declaration: reaching this point means the write phase ran
-    # to completion (write_resumable either processed every pending
-    # bucket or the fast path found all expected manifests; an empty
-    # hash bucket never writes a manifest and never will), so the
-    # output IS a complete conversation-partitioned layout — declare it
-    # so flagship_auto elides the exchange on the next read. Payload
-    # "transcripts" (re-featurizable) only for raw parquet buckets.
+    # to completion (every pending bucket was processed or the resume
+    # fast path found all expected manifests; an empty hash bucket never
+    # writes a manifest and never will), so the output IS a complete
+    # conversation-partitioned layout — declare it so flagship_auto
+    # elides the exchange on the next read. Payload "transcripts"
+    # (re-featurizable) only for raw parquet buckets.
     if args.data_format == "parquet":
-        from ptrail_ray.state.manifest import save_layout_manifest
-
-        bucket_files = [
-            f"bucket={m['bucket']:05d}/part.parquet" for m in metrics
-        ]
         save_layout_manifest(
             args.output,
-            bucket_files,
+            [f"bucket={m['bucket']:05d}/part.parquet" for m in metrics],
             payload="transcripts" if args.partition_only else "features",
-            producer="tools/job.py"
+            producer=f"tools/job.py ({plan} plan)"
             + (" --partition-only" if args.partition_only else ""),
         )
 
@@ -483,19 +340,12 @@ def main(argv=None):
         # row conservation across BOTH arms: every input turn must appear
         # exactly once in the main partitioned output or in _giants.
         # Metadata-only counts — no data read.
-        import glob as _glob
-
-        import pyarrow.parquet as pq
-
-        def _meta_rows(d: str) -> int:
-            return sum(
-                pq.read_metadata(f).num_rows
-                for f in _glob.glob(os.path.join(d, "**", "*.parquet"), recursive=True)
-            )
-
-        input_rows = _meta_rows(args.input)
-        gdir = os.path.join(args.output, "_giants")
-        giants_rows = _meta_rows(gdir) if os.path.isdir(gdir) else 0
+        input_rows = _parquet_rows(files, under=args.input)
+        giants_rows = (
+            _parquet_rows(under=os.path.join(args.output, "_giants"))
+            if config.get("giants")
+            else 0
+        )
         if rows + giants_rows != input_rows:
             raise SystemExit(
                 f"row conservation FAILED: main={rows} + giants={giants_rows} "
@@ -512,13 +362,14 @@ def main(argv=None):
         json.dumps(
             {
                 "status": "ok",
+                "plan": plan,
                 "wall_s": round(wall, 2),
                 "rows": rows,
                 **({"validation": validation} if validation else {}),
-                "buckets_written_this_run": int(len(summary)),
+                "buckets_written_this_run": int(n_written),
                 "buckets_total": len(metrics),
-                "hot_convs_salted": len(hot),
-                "giant_convs_split": len(giants),
+                "hot_convs_salted": len(config.get("hot_convs", [])),
+                "giant_convs_split": len(config.get("giants", [])),
                 "turns_per_sec": round(rows / wall, 1),
                 "output": args.output,
             }

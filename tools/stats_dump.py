@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main() -> int:
@@ -36,19 +36,20 @@ def main() -> int:
     DataContext.get_current().enable_progress_bars = False
 
     from bench import SF_DIR, ensure_bench_corpus
-    from ptrail_ray.pipelines.flagship import flagship
-    from ptrail_ray.sources.transcripts import read_transcripts, side_scd_from_events
+    from ptrail_ray.pipelines.flagship import flagship_auto
+    from ptrail_ray.sources.transcripts import side_scd_from_events
 
     path = ensure_bench_corpus()
     side = side_scd_from_events(SF_DIR)
     t0 = time.perf_counter()
-    out = flagship(
-        read_transcripts(path),
+    # the plan chooser's pick, as bench.py runs it: the corpus declares
+    # its conv-partitioned layout, so the exchange is elided
+    out = flagship_auto(
+        path,
         side,
         num_buckets=max(32, num_cpus * 4),
         gap_seconds=120.0,
-        asof_concurrency=max(2, num_cpus // 4),
-        hot_threshold=None,
+        read_blocks=num_cpus * 4,
     )
     mat = out.materialize()  # stats() needs the executed plan's handle
     n = mat.count()

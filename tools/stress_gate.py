@@ -26,7 +26,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from tools.check_oracle import TABLES, canon, compare, to_pandas  # noqa: E402
 
 DUMP_ROOT = "/tmp/stress_dump"

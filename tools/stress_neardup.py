@@ -19,7 +19,7 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def build_corpus(sf_dir: str = "/root/testdata/sf0.1", replicas: int = 20) -> pd.DataFrame:
