@@ -3,7 +3,7 @@ SURVEY.md §3.3: clean → gap-detect → featurize → side-join → stats).
 
     read transcripts → [conv-bucket exchange, elided on a declared
     conv-partitioned layout] → one bucket task (:func:`featurize_bucket`):
-    sort → project (m1/m2, drop text) → fused window kernels → temporal
+    project (m1/m2, drop text) → sort → fused window kernels → temporal
     extractors → as-of probe against the broadcast side table
 
 Every plan runs the same bucket kernel, and :func:`choose_plan` decides
@@ -50,7 +50,7 @@ def featurize_bucket(
     gap_seconds: float = 120.0,
     features: list[str] | None = None,
 ) -> pa.Table:
-    """The flagship's one bucket kernel: sort → project → fused kernels
+    """The flagship's one bucket kernel: project → sort → fused kernels
     → temporal → as-of probe, over a table of whole conversations.
 
     ``table`` may still carry text (a file of a conv-partitioned layout)
@@ -58,9 +58,11 @@ def featurize_bucket(
     ``side_ref`` (:func:`stages.asof.put_side_table`) backfills the side
     attributes inline; building the joiner once per bucket is cheap next
     to the kernels, and keeps the probe inside the bucket task."""
-    table = sort_bucket(table)
     if TEXT in table.column_names:
+        # row-wise, so it commutes with the sort, which then no longer
+        # copies the text
         table = project_measures(table)
+    table = sort_bucket(table)
     table = compute_features(table, features or ALL_FEATURES, gap_seconds=gap_seconds)
     table = add_temporal_columns(table)
     if side_ref is not None:

@@ -140,7 +140,8 @@ def gapfill_kernel(
         import pyarrow.compute as pc
 
         ts_us = pc.cast(ts_us, pa.timestamp("us"))
-    t = ts_us.to_numpy(zero_copy_only=False).view("int64") / 1e6
+    us = ts_us.to_numpy(zero_copy_only=False).view("int64")
+    t = us / 1e6
     import pyarrow.compute as pc
 
     m1 = (
@@ -167,10 +168,11 @@ def gapfill_kernel(
     new_vals = np.empty(len(gap_prev))
 
     if method == "linear":
-        # np.interp's interior formula, applied to every gap at once
+        # the oracle's formula, m1 + dm * (rate / dt) with dt from the
+        # integer microseconds, applied to every gap at once
         g = gap_prev
-        slope = (m1[g + 1] - m1[g]) / (t[g + 1] - t[g])
-        new_vals = slope * (new_t - t[g]) + m1[g]
+        dt_s = (us[g + 1] - us[g]) / 1e6
+        new_vals = m1[g] + (m1[g + 1] - m1[g]) * (sampling_rate / dt_s)
     elif method == "kinematic":
         g = gap_prev
         jloc = g - starts[q_run]

@@ -6,7 +6,10 @@ north_rule requires "resumable from checkpoint with per-partition lineage
 
     out_dir/
       bucket=00017/part.parquet          ← data, written to *.tmp then renamed
-      _manifest/bucket=00017.json        ← {rows, bytes, lineage, wall_s, version}
+      _manifest/bucket=00017.json        ← {rows, bytes, n_convs, lineage, wall_s, version}
+
+``bytes`` is the data file's size on disk and ``n_convs`` the number of
+distinct conversations in the bucket.
 
 Protocol: data first, manifest last, both via atomic rename — a bucket
 counts as done IFF its manifest exists, so a crash mid-write leaves at
@@ -28,6 +31,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ptrail_ray.stages.bucket import BUCKET_COL, assign_bucket, sort_bucket
@@ -143,6 +147,24 @@ def load_metrics(out_dir: str) -> list[dict]:
     return rows
 
 
+def _dictionary_columns(table: pa.Table) -> list[str]:
+    """Columns the parquet writer dictionary-encodes: all but the
+    null-free floating, timestamp and time columns, whose values seldom
+    repeat, so a dictionary only costs write time. A column with nulls
+    keeps its dictionary: its null slots then read back byte-for-byte
+    as under the writer's default."""
+    return [
+        f.name
+        for f, col in zip(table.schema, table.columns)
+        if col.null_count
+        or not (
+            pa.types.is_floating(f.type)
+            or pa.types.is_timestamp(f.type)
+            or pa.types.is_time(f.type)
+        )
+    ]
+
+
 def write_bucket(
     table: pa.Table, bucket: int, out_dir: str, *, lineage: str = "",
     data_format: str = "parquet",
@@ -160,7 +182,7 @@ def write_bucket(
     data_tmp = os.path.join(bdir, f"part.{data_format}.tmp")
     data_final = os.path.join(bdir, f"part.{data_format}")
     if data_format == "parquet":
-        pq.write_table(table, data_tmp)
+        pq.write_table(table, data_tmp, use_dictionary=_dictionary_columns(table))
     else:
         table.to_pandas().to_json(
             data_tmp, orient="records", lines=True, date_format="iso"
@@ -170,9 +192,9 @@ def write_bucket(
     manifest = {
         "bucket": bucket,
         "rows": table.num_rows,
-        "bytes": table.nbytes,
-        "n_convs": len(np.unique(table["conv_id"].to_numpy(zero_copy_only=False)))
-        if "conv_id" in table.column_names and table.num_rows
+        "bytes": os.path.getsize(data_final),
+        "n_convs": pc.count_distinct(table["conv_id"]).as_py()
+        if "conv_id" in table.column_names
         else 0,
         "lineage": lineage,
         "kernel_version": KERNEL_VERSION,

@@ -123,7 +123,7 @@ def test_job_partition_only_layout_roundtrip(ray_session, tmp_path):
     pd.testing.assert_frame_equal(ref, got[ref.columns], check_dtype=False)
 
 
-def test_job_prepartitioned_plan_matches_exchange_plan(ray_session, tmp_path):
+def test_job_prepartitioned_plan_matches_exchange_plan(ray_session, tmp_path, capsys):
     """job.py picks the exchange-free plan when the input declares a
     conv-partitioned layout; output is identical to the exchange plan
     over the same corpus with the manifest removed."""
@@ -143,6 +143,9 @@ def test_job_prepartitioned_plan_matches_exchange_plan(ray_session, tmp_path):
 
     job_main(["--input", src, "--output", o1, "--num-cpus", "4", "--validate"])
     assert load_job_manifest(o1)["plan"] == "prepartitioned"
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    files = glob.glob(os.path.join(o1, "bucket=*", "part.parquet"))
+    assert summary["out_bytes"] == sum(os.path.getsize(f) for f in files)
 
     os.remove(os.path.join(src, "_manifest", "layout.json"))
     job_main(["--input", src, "--output", o2, "--num-buckets", "4",

@@ -4,14 +4,19 @@ completed buckets → final output identical."""
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
 import ray.data as rd
 
+from ptrail_ray.pipelines.flagship import featurize_bucket
 from ptrail_ray.stages.kernels import compute_features
 from ptrail_ray.state.manifest import (
     completed_buckets,
     load_metrics,
+    write_bucket,
     write_resumable,
 )
 
@@ -106,3 +111,58 @@ def test_write_resumable_jsonl(ray_session, tmp_path):
         rd.from_pandas(df), out, lambda t: t, num_buckets=4, data_format="jsonl"
     )
     assert summary.empty or summary["rows"].sum() == 0
+
+
+def _featurized_bucket(synth_table):
+    """A featurized bucket with nulls (tool, lag1_ts, attr_num) and NaNs
+    (delta_t), as the job's sink receives it."""
+    t = featurize_bucket(synth_table)
+    n = t.num_rows
+    vals = np.arange(n, dtype=np.float64) / 7
+    vals[::5] = np.nan
+    return t.append_column("attr_num", pa.array(vals, mask=np.arange(n) % 3 == 0))
+
+
+@pytest.mark.parametrize("n_rows", [None, 0])
+def test_write_bucket_round_trip(tmp_path, synth_table, n_rows):
+    table = _featurized_bucket(synth_table)
+    if n_rows is None:
+        for name in ("tool", "lag1_ts", "attr_num"):
+            assert table[name].null_count > 0, name
+        assert pc.any(pc.is_nan(table["delta_t"])).as_py()
+    else:
+        table = table.slice(0, n_rows)
+    out_dir = str(tmp_path / "out")
+    write_bucket(table, 3, out_dir)
+    path = os.path.join(out_dir, "bucket=00003", "part.parquet")
+    back = pq.read_table(path)
+
+    # same schema (no dictionary-typed columns), values, validity and NaNs
+    assert back.schema.equals(table.schema)
+    for name in table.column_names:
+        a, b = table[name].combine_chunks(), back[name].combine_chunks()
+        assert a.is_valid().equals(b.is_valid()), name
+        if pa.types.is_floating(a.type):
+            assert pc.is_nan(a).equals(pc.is_nan(b)), name
+            np.testing.assert_array_equal(
+                a.to_numpy(zero_copy_only=False), b.to_numpy(zero_copy_only=False)
+            )
+        else:
+            assert a.equals(b), name
+
+    # every column reads back with the same buffers, null slots included,
+    # as from the writer's default encoding
+    default_path = str(tmp_path / "default.parquet")
+    pq.write_table(table, default_path)
+    ref = pq.read_table(default_path)
+    for name in table.column_names:
+        got = [x and x.to_pybytes() for x in back[name].combine_chunks().buffers()]
+        exp = [x and x.to_pybytes() for x in ref[name].combine_chunks().buffers()]
+        assert got == exp, name
+
+    (m,) = load_metrics(out_dir)
+    assert m["rows"] == table.num_rows
+    assert m["bytes"] == os.path.getsize(path)
+    assert m["n_convs"] == len(set(table["conv_id"].to_pylist()))
+    if n_rows == 0:
+        assert m["n_convs"] == 0

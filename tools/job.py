@@ -365,6 +365,7 @@ def main(argv=None):
                 "plan": plan,
                 "wall_s": round(wall, 2),
                 "rows": rows,
+                "out_bytes": sum(m["bytes"] for m in metrics),
                 **({"validation": validation} if validation else {}),
                 "buckets_written_this_run": int(n_written),
                 "buckets_total": len(metrics),
