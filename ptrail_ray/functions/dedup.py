@@ -30,6 +30,7 @@ Python hash()).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import logging
@@ -266,10 +267,12 @@ _MERSENNE = (1 << 61) - 1
 
 
 class MinHasher:
-    """Actor-pool stage: per-doc MinHash signature (numpy-vectorized).
+    """Per-doc MinHash signature (numpy-vectorized).
 
     Universal hashing h_i(x) = (a_i·x + b_i) mod p over md5-derived
-    shingle ids; parameters seeded once per actor in ``__init__``.
+    shingle ids; parameters seeded in ``__init__``. The task stage gets
+    its instance from ``_minhasher``, so each worker process builds one
+    per ``(num_perm, shingle_k)``.
     """
 
     def __init__(self, num_perm: int = 64, shingle_k: int = 3, seed: int = 7):
@@ -278,13 +281,14 @@ class MinHasher:
         self.b = rng.integers(0, _MERSENNE, size=num_perm, dtype=np.uint64)
         self.num_perm = num_perm
         self.k = shingle_k
-        # per-actor token→hash memo: Zipf vocabulary repeats heavily
-        # across batches, so md5 runs ~once per corpus-unique TOKEN
+        # token→hash memo, reused across batches in one worker process:
+        # Zipf vocabulary repeats heavily, so md5 runs ~once per
+        # corpus-unique TOKEN
         self._memo: dict[str, int] = {}
 
     def signature(self, text: str) -> np.ndarray:
         """Single-doc path (tests / ad-hoc); the batch path in
-        ``__call__`` is numerically identical."""
+        ``_minhash_batch`` is numerically identical."""
         return self._signatures([text])[0]
 
     def _signatures(self, texts: list[str]) -> np.ndarray:
@@ -313,7 +317,7 @@ class MinHasher:
         if len(codes) == 0:
             return sigs
         memo = self._memo
-        if len(memo) > 4_000_000:  # bound actor memory
+        if len(memo) > 4_000_000:  # bound worker memory
             memo.clear()
         th = np.empty(len(vocab), dtype=np.uint64)
         for i, s in enumerate(vocab.to_pylist()):
@@ -340,12 +344,18 @@ class MinHasher:
                 sigs[present, p] = np.minimum.reduceat(hv[inv_o], starts)
         return sigs
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        sigs = self._signatures_arrow(
-            pa.array(batch["text"].fillna("").to_numpy(dtype=object), pa.string())
-        )
-        batch["minhash"] = list(sigs)
-        return batch
+
+@functools.lru_cache(maxsize=4)
+def _minhasher(num_perm: int, shingle_k: int) -> MinHasher:
+    return MinHasher(num_perm, shingle_k)
+
+
+def _minhash_batch(batch: pd.DataFrame, num_perm: int, shingle_k: int) -> pd.DataFrame:
+    sigs = _minhasher(num_perm, shingle_k)._signatures_arrow(
+        pa.array(batch["text"].fillna("").to_numpy(dtype=object), pa.string())
+    )
+    batch["minhash"] = list(sigs)
+    return batch
 
 
 def _band_rows(batch: pd.DataFrame, bands: int, rows_per_band: int) -> pd.DataFrame:
@@ -474,7 +484,7 @@ def minhash_lsh_pairs(
     exact-dup-heavy corpora (the common web-crawl case) the collapsed
     path removes the dominant text exchange.
 
-    Pipeline: signature (pinned actor pool) → band explode → groupby
+    Pipeline: signature (task stage) → band explode → groupby
     (band_id, band_hash) → pairs per bucket → dedup pairs → exact-verify
     via a distributed bucket join: pair requests are exploded to one row
     per (pair, side) keyed by doc_id, co-located with the text table in
@@ -482,19 +492,11 @@ def minhash_lsh_pairs(
     Jaccard — text is re-shipped only for docs that appear in candidate
     pairs, and nothing unbounded ever reaches the driver.
     """
-    from ptrail_ray.stages.pool import pool_size
-
     rows_per_band = num_perm // bands
-    # autoscaling (1, N) here on purpose: the signature stage's batch
-    # count tracks the corpus size (1 batch at 500 docs, dozens at
-    # 100k), so ramping actors with the queue beats paying a full
-    # pinned pool's spawn cost on small inputs; the per-actor state
-    # (perm arrays + shingle memo) still warrants actors over tasks.
     sigged = ds.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={"num_perm": num_perm, "shingle_k": shingle_k},
+        _minhash_batch,
+        fn_kwargs={"num_perm": num_perm, "shingle_k": shingle_k},
         batch_format="pandas", batch_size=4096,
-        concurrency=(1, pool_size()),
     )
     band = sigged.map_batches(
         lambda b: _band_rows(b, bands, rows_per_band), batch_format="pandas", batch_size=None
@@ -1518,8 +1520,6 @@ def winnow_fingerprints(ds, *, k: int = 3, w: int = 4):
     distinct. One narrow vectorized stage — dedup within a batch is
     exact because a document never spans batches (explode happens in the
     same task that read the doc)."""
-    import functools
-
     return ds.map_batches(
         functools.partial(winnow_batch, k=k, w=w),
         batch_format="pandas",
@@ -1653,8 +1653,6 @@ def ngram_jaccard_pairs(
     second text shuffle, unlike the LSH verify path which must re-ship
     text); all pair work vectorized per bucket; hot anchor blocks
     capped via the connectivity-preserving star-pair rule, loudly."""
-    import functools
-
     from ptrail_ray.stages.bucket import grouped_agg_by_bucket
 
     prep = docs.map_batches(

@@ -2,18 +2,19 @@
 
 Design: media are opaque ``binary`` payload columns with typed metadata
 (``media_type``, ``width``/``height``/``duration_ms``), processed by
-actor-pool ``map_batches`` stages with SMALL batch sizes (payloads
+stateless ``map_batches`` task stages with SMALL batch sizes (payloads
 dominate block size — see the memory notes in SURVEY.md §4.2).
 
 Decode support tiers in this container:
 
 * **REAL, no external codecs**: RIFF/WAV PCM audio (stdlib ``wave`` +
-  numpy — ``DecodeAudio``) and binary PPM/PGM images (P6/P5 header +
-  raw bytes — ``DecodeImage`` parses them natively, including a real
-  nearest-neighbor resize kernel). These paths decode actual bytes.
+  numpy — ``decode_audio_batch``) and binary PPM/PGM images (P6/P5
+  header + raw bytes — ``decode_image_batch`` parses them natively,
+  including a real nearest-neighbor resize kernel). These paths decode
+  actual bytes.
 * **Gated**: JPEG/PNG/MP3/MP4 need PIL/ffmpeg, absent here.
-  ``DecodeImage(fake=False)`` first tries PIL and falls back to the
-  native PPM parser; a payload in a format neither can read raises
+  ``decode_image_batch(fake=False)`` first tries PIL and falls back to
+  the native PPM parser; a payload in a format neither can read raises
   ``NotImplementedError`` (disclosed, not silently faked).
 * **Fake**: ``fake=True`` keeps the deterministic md5-seeded stub for
   plumbing tests over arbitrary bytes.
@@ -21,6 +22,7 @@ Decode support tiers in this container:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import wave
@@ -60,11 +62,11 @@ def synth_media(n: int = 64, seed: int = 21) -> pa.Table:
 
 def _build_wav(n: int, seed: int) -> tuple[pa.Table, pa.Table]:
     """One pass building BOTH the WAV media table and its expected
-    DecodeAudio features (driver ground truth). A single loop draws all
-    randomness so the two tables can never drift; the GT features are
-    computed from the very PCM written into the payload with the same
-    float64 ops the decode path runs (``wave`` round-trips PCM bytes
-    untouched), so decode output is bit-identical to GT."""
+    ``decode_audio_batch`` features (driver ground truth). A single loop
+    draws all randomness so the two tables can never drift; the GT
+    features are computed from the very PCM written into the payload
+    with the same float64 ops the decode path runs (``wave`` round-trips
+    PCM bytes untouched), so decode output is bit-identical to GT."""
     rng = np.random.default_rng(seed)
     rates = rng.choice([8000, 16000, 22050], size=n)
     n_frames = rng.integers(400, 4000, size=n)
@@ -115,15 +117,16 @@ def synth_wav_media(n: int = 256, seed: int = 23) -> pa.Table:
 
 
 def wav_ground_truth(n: int = 256, seed: int = 23) -> pa.Table:
-    """Expected DecodeAudio output for ``synth_wav_media(n, seed)`` —
-    the driver-oracle ground-truth table (rms unrounded float64)."""
+    """Expected ``decode_audio_batch`` output for
+    ``synth_wav_media(n, seed)`` — the driver-oracle ground-truth table
+    (rms unrounded float64)."""
     return _build_wav(n, seed)[1]
 
 
 def _build_ppm(n: int, seed: int) -> tuple[pa.Table, pa.Table]:
     """One pass building BOTH the PPM media table and its expected
-    DecodeImage features. The per-channel means run the exact reduction
-    the decode path runs (``reshape(-1, 3).mean(axis=0)`` over the same
+    ``decode_image_batch`` features. The per-channel means run the exact
+    reduction the decode path runs (``reshape(-1, 3).mean(axis=0)`` over the same
     C-order uint8 array) so decode output is bit-identical to GT."""
     rng = np.random.default_rng(seed)
     ws = rng.integers(8, 64, size=n)
@@ -164,8 +167,9 @@ def synth_ppm_media(n: int = 256, seed: int = 29) -> pa.Table:
 
 
 def ppm_ground_truth(n: int = 256, seed: int = 29) -> pa.Table:
-    """Expected DecodeImage output for ``synth_ppm_media(n, seed)`` —
-    the driver-oracle ground-truth table (means unrounded float64)."""
+    """Expected ``decode_image_batch`` output for
+    ``synth_ppm_media(n, seed)`` — the driver-oracle ground-truth table
+    (means unrounded float64)."""
     return _build_ppm(n, seed)[1]
 
 
@@ -226,131 +230,113 @@ def parse_wav(buf: bytes) -> tuple[int, np.ndarray]:
     return sr, x
 
 
-class DecodeAudio:
-    """Actor-pool REAL audio decode stage (stdlib wave — no external
-    codecs needed for RIFF/PCM). Per-item features: sample_rate,
-    n_samples, duration_ms, rms, peak. Payload dropped on output."""
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        sr_l, n_l, dur_l, rms_l, peak_l = [], [], [], [], []
-        for p in batch["payload"]:
-            sr, x = parse_wav(bytes(p))
-            sr_l.append(sr)
-            n_l.append(len(x))
-            dur_l.append(int(round(1000.0 * len(x) / sr)) if sr else 0)
-            rms_l.append(float(np.sqrt(np.mean(x * x))) if len(x) else 0.0)
-            peak_l.append(float(np.max(np.abs(x))) if len(x) else 0.0)
-        out = batch.drop(columns=["payload"])
-        out["sample_rate"] = np.asarray(sr_l, np.int64)
-        out["n_samples"] = np.asarray(n_l, np.int64)
-        out["duration_ms"] = np.asarray(dur_l, np.int64)
-        out["rms"] = np.asarray(rms_l, np.float64)
-        out["peak"] = np.asarray(peak_l, np.float64)
-        return out
+def decode_audio_batch(batch: pd.DataFrame) -> pd.DataFrame:
+    """REAL audio decode stage (stdlib wave — no external codecs needed
+    for RIFF/PCM). Per-item features: sample_rate, n_samples,
+    duration_ms, rms, peak. Payload dropped on output."""
+    sr_l, n_l, dur_l, rms_l, peak_l = [], [], [], [], []
+    for p in batch["payload"]:
+        sr, x = parse_wav(bytes(p))
+        sr_l.append(sr)
+        n_l.append(len(x))
+        dur_l.append(int(round(1000.0 * len(x) / sr)) if sr else 0)
+        rms_l.append(float(np.sqrt(np.mean(x * x))) if len(x) else 0.0)
+        peak_l.append(float(np.max(np.abs(x))) if len(x) else 0.0)
+    out = batch.drop(columns=["payload"])
+    out["sample_rate"] = np.asarray(sr_l, np.int64)
+    out["n_samples"] = np.asarray(n_l, np.int64)
+    out["duration_ms"] = np.asarray(dur_l, np.int64)
+    out["rms"] = np.asarray(rms_l, np.float64)
+    out["peak"] = np.asarray(peak_l, np.float64)
+    return out
 
 
-class DecodeImage:
-    """Actor-pool image decode stage.
+@functools.lru_cache(maxsize=None)
+def _pil_image():
+    """PIL's ``Image`` module, or None where PIL is not installed —
+    probed once per worker process."""
+    try:
+        from PIL import Image
+    except ImportError:
+        return None
+    return Image
+
+
+def _decode_image(buf: bytes) -> np.ndarray:
+    pil = _pil_image()
+    if pil is not None:
+        img = pil.open(io.BytesIO(buf)).convert("RGB")
+        return np.asarray(img, dtype=np.uint8)
+    if buf[:2] in (b"P6", b"P5"):
+        arr = parse_pnm(buf)
+        if arr.ndim == 2:
+            arr = np.repeat(arr[:, :, None], 3, axis=2)
+        return arr
+    raise NotImplementedError(
+        "payload is not binary PNM and PIL is unavailable in this "
+        "container — JPEG/PNG decode is gated on the PIL extra"
+    )
+
+
+def decode_image_batch(
+    batch: pd.DataFrame, fake: bool = False, feat_dim: int = 16, thumb: int = 8
+) -> pd.DataFrame:
+    """Image decode stage.
 
     ``fake=False`` (default) decodes REAL bytes: PIL when importable
     (absent in this container), else the native binary-PNM parser —
     other formats raise ``NotImplementedError`` (disclosed, never
-    silently faked). Features: width/height, per-channel means, and an
-    8×8 nearest-neighbor thumbnail as the feature vector (real resize
-    kernel). ``fake=True`` keeps the md5-seeded stub for plumbing tests
-    over arbitrary bytes."""
-
-    def __init__(self, fake: bool = False, feat_dim: int = 16, thumb: int = 8):
-        self.fake = fake
-        self.feat_dim = feat_dim
-        self.thumb = thumb
-        self._pil = None
-        if not fake:
-            try:  # once per actor — the codec context the stage holds
-                from PIL import Image  # noqa: F401
-
-                self._pil = Image
-            except ImportError:
-                self._pil = None
-
-    def _decode(self, buf: bytes) -> np.ndarray:
-        if self._pil is not None:
-            img = self._pil.open(io.BytesIO(buf)).convert("RGB")
-            return np.asarray(img, dtype=np.uint8)
-        if buf[:2] in (b"P6", b"P5"):
-            arr = parse_pnm(buf)
-            if arr.ndim == 2:
-                arr = np.repeat(arr[:, :, None], 3, axis=2)
-            return arr
-        raise NotImplementedError(
-            "payload is not binary PNM and PIL is unavailable in this "
-            "container — JPEG/PNG decode is gated on the PIL extra"
-        )
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if not self.fake:
-            widths, heights, means, feats = [], [], [], []
-            for p in batch["payload"]:
-                img = self._decode(bytes(p))
-                heights.append(img.shape[0])
-                widths.append(img.shape[1])
-                means.append(img.reshape(-1, 3).mean(axis=0))
-                th = resize_nearest(img, self.thumb, self.thumb)
-                feats.append((th.astype(np.float32) / 255.0).ravel())
-            out = batch.drop(columns=["payload"])
-            out["width"] = np.asarray(widths, np.int64)
-            out["height"] = np.asarray(heights, np.int64)
-            m = np.vstack(means)
-            out["mean_r"] = m[:, 0]
-            out["mean_g"] = m[:, 1]
-            out["mean_b"] = m[:, 2]
-            out["feature"] = [f.tolist() for f in feats]
-            out["decoded_ok"] = True
-            return out
-        feats = []
+    silently faked). Features: width/height, per-channel means, and a
+    ``thumb``×``thumb`` nearest-neighbor thumbnail as the feature vector
+    (real resize kernel). ``fake=True`` keeps the md5-seeded stub of
+    ``feat_dim`` values for plumbing tests over arbitrary bytes."""
+    if not fake:
+        widths, heights, means, feats = [], [], [], []
         for p in batch["payload"]:
-            h = hashlib.md5(bytes(p)).digest()
-            seed = int.from_bytes(h[:8], "big") % (2**32)
-            feats.append(
-                np.random.default_rng(seed).normal(size=self.feat_dim).astype(
-                    np.float32
-                )
-            )
-        batch["feature"] = [f.tolist() for f in feats]
-        batch["decoded_ok"] = True
-        return batch.drop(columns=["payload"])  # drop payload → small output
+            img = _decode_image(bytes(p))
+            heights.append(img.shape[0])
+            widths.append(img.shape[1])
+            means.append(img.reshape(-1, 3).mean(axis=0))
+            th = resize_nearest(img, thumb, thumb)
+            feats.append((th.astype(np.float32) / 255.0).ravel())
+        out = batch.drop(columns=["payload"])
+        out["width"] = np.asarray(widths, np.int64)
+        out["height"] = np.asarray(heights, np.int64)
+        m = np.vstack(means)
+        out["mean_r"] = m[:, 0]
+        out["mean_g"] = m[:, 1]
+        out["mean_b"] = m[:, 2]
+        out["feature"] = [f.tolist() for f in feats]
+        out["decoded_ok"] = True
+        return out
+    feats = []
+    for p in batch["payload"]:
+        h = hashlib.md5(bytes(p)).digest()
+        seed = int.from_bytes(h[:8], "big") % (2**32)
+        feats.append(
+            np.random.default_rng(seed).normal(size=feat_dim).astype(np.float32)
+        )
+    batch["feature"] = [f.tolist() for f in feats]
+    batch["decoded_ok"] = True
+    return batch.drop(columns=["payload"])  # drop payload → small output
 
 
-def decode_audio_features(
-    ds, *, concurrency: int | None = None, batch_size: int = 64
-):
+def decode_audio_features(ds, *, batch_size: int = 64):
     """Audio Dataset → per-item REAL decode features (payload dropped
     on output). Small batches: payloads dominate block memory."""
-    from ptrail_ray.stages.pool import pool_size
-
     return ds.map_batches(
-        DecodeAudio,
-        batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency or pool_size(),
+        decode_audio_batch, batch_format="pandas", batch_size=batch_size
     )
 
 
-def decode_features(
-    ds, *, fake: bool = False, concurrency: int | None = None, batch_size: int = 16
-):
+def decode_features(ds, *, fake: bool = False, batch_size: int = 16):
     """Media Dataset → per-item feature vectors (payload dropped on
-    output; small batch_size because payloads dominate memory). The
-    pool is pinned and cluster-sized by default (autoscaling pools ramp
-    from 1 actor — stages/pool.py)."""
-    from ptrail_ray.stages.pool import pool_size
-
+    output; small batch_size because payloads dominate memory)."""
     return ds.map_batches(
-        DecodeImage,
-        fn_constructor_kwargs={"fake": fake},
+        decode_image_batch,
+        fn_kwargs={"fake": fake},
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=concurrency or pool_size(),
     )
 
 
@@ -448,11 +434,11 @@ def ppmv_ground_truth(n: int = 128, seed: int = 31, stride: int = 2) -> pa.Table
 
 
 class FrameSample:
-    """Actor-pool stage: parse a concatenated-PPM video payload and
+    """Frame-sampling stage: parse a concatenated-PPM video payload and
     emit every ``stride``-th frame's features (frame_idx, height,
     width, mean intensity) — the frame-sampling shape (decode once per
-    item inside an actor, expanding output rows) a real video pipeline
-    uses; only the container parser would change under ffmpeg."""
+    item, expanding output rows) a real video pipeline uses; only the
+    container parser would change under ffmpeg."""
 
     def __init__(self, stride: int = 2):
         if stride < 1:
@@ -483,13 +469,10 @@ class FrameSample:
         )
 
 
-def frame_sample_features(ds, *, stride: int = 2, concurrency: int = 4, batch_size: int = 32):
-    """Distributed frame sampling: small batches (video payloads are
-    the large-binary case — batch × concurrency must fit the heap),
-    actor pool so any per-codec init happens once per actor."""
+def frame_sample_features(ds, *, stride: int = 2, batch_size: int = 32):
+    """Distributed frame sampling as a task stage: small batches, because
+    video payloads are the large-binary case; Ray Data's backpressure
+    bounds how many batches are in flight."""
     return ds.map_batches(
-        FrameSample(stride),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        FrameSample(stride), batch_format="pyarrow", batch_size=batch_size
     )

@@ -8,9 +8,10 @@ vectorized ``map_batches`` stages over the ``documents`` table schema
 Everything except the md5 fingerprint runs on Arrow compute kernels
 (``count_substring_regex`` / ``split_pattern_regex`` / ``is_in``) — no
 per-row Python in the hot path — and the stages are stateless task
-pools (RE2 compiles inside Arrow per kernel call; nothing to hold in an
-actor). Every formula is intentionally SQL-expressible so the driver's
-DuckDB oracle can verify it exactly (see oracle_sql in __ray_entry__).
+stages (RE2 compiles inside Arrow per kernel call; nothing to hold
+across batches). Every formula is intentionally SQL-expressible so the
+driver's DuckDB oracle can verify it exactly (see oracle_sql in
+__ray_entry__).
 """
 
 from __future__ import annotations
@@ -225,13 +226,11 @@ def add_repetition(ds, *, batch_size: int = TEXT_BATCH):
     return ds.map_batches(repetition_batch, batch_format="pyarrow", batch_size=batch_size)
 
 
-def add_text_stats(ds, *, concurrency: int | None = None, batch_size: int = TEXT_BATCH):
-    """``concurrency`` is accepted for backwards compatibility and
-    ignored — the stage is a stateless task pool now."""
+def add_text_stats(ds, *, batch_size: int = TEXT_BATCH):
     return ds.map_batches(text_stats_batch, batch_format="pyarrow", batch_size=batch_size)
 
 
-def add_lang_id(ds, *, concurrency: int | None = None, batch_size: int = TEXT_BATCH):
+def add_lang_id(ds, *, batch_size: int = TEXT_BATCH):
     return ds.map_batches(lang_id_batch, batch_format="pyarrow", batch_size=batch_size)
 
 

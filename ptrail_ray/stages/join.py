@@ -2,7 +2,7 @@
 
 Ray Data 2.49 has no general join; this engine's joins so far are
 broadcast-shaped (membership/semi/anti in stages/project.py, the as-of
-actor pool in stages/asof.py) because the reference's side tables are
+probe in stages/asof.py) because the reference's side tables are
 small. For two LARGE sides the standard shuffle-join applies, built on
 the same single-exchange machinery as everything else:
 

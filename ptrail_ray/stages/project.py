@@ -67,9 +67,7 @@ class ExtractNumeric:
         return batch.append_column(self.out_col, pc.cast(val, pa.int64()))
 
     @staticmethod
-    def stage(ds, pattern: str = r'"k": (?P<v>[0-9]+)', out_col: str = "k_value",
-              concurrency=None):
-        # stateless task pool; ``concurrency`` kept for API compat
+    def stage(ds, pattern: str = r'"k": (?P<v>[0-9]+)', out_col: str = "k_value"):
         fn = ExtractNumeric(pattern, out_col)
         return ds.map_batches(fn, batch_format="pyarrow", batch_size=65536)
 
@@ -105,7 +103,7 @@ def distance_from_point(
 def membership_flag(ds, values: list[str], *, col: str = TOOL, out_col: str = "flagged"):
     """visited_location analog: 0/1 flag — is ``col`` in the broadcast
     value set. The set ships once in the task closure (a few KB); a
-    larger side would go through ``ray.put`` + actor state instead."""
+    larger side would go through ``ray.put`` instead."""
     vals = pa.array(sorted(v for v in values if v is not None), type=pa.string())
 
     def fn(batch: pa.Table) -> pa.Table:

@@ -28,7 +28,7 @@ def docs_ds(ray_session):
 def test_text_stats(docs_ds):
     from ptrail_ray.functions.textstats import add_text_stats
 
-    out = add_text_stats(docs_ds, concurrency=1).to_pandas().sort_values("doc_id")
+    out = add_text_stats(docs_ds).to_pandas().sort_values("doc_id")
     assert (out["n_tokens"].iloc[:10] == 30).all()
     empty = out[out["doc_id"] == 12].iloc[0]
     assert empty["n_tokens"] == 0 and empty["quality"] == 0
@@ -53,6 +53,51 @@ def test_minhash_lsh_finds_near_dup(docs_ds):
     j = out.set_index(["a", "b"])["jaccard"]
     assert j.loc[(0, 10)] == 1.0
     assert 0.3 <= j.loc[(1, 11)] <= 1.0
+
+
+def test_minhash_per_process_cache(ray_session):
+    """The signature task stage takes its MinHasher from a per-process
+    cache keyed on (num_perm, shingle_k). In one worker, each key gets
+    signatures of its own width, and every signature equals the
+    single-doc path's, also once the token memo is reused across
+    batches."""
+    from ptrail_ray.functions.dedup import MinHasher, _minhash_batch
+
+    texts = ["alpha beta gamma delta", "beta gamma delta eps", None, "",
+             "gamma delta eps zeta eta", "alpha beta gamma delta"]
+    keys = [(64, 3), (32, 2), (64, 3), (32, 2)]
+
+    @ray.remote
+    def in_one_worker():
+        from ptrail_ray.functions.dedup import _minhasher
+
+        _minhasher.cache_clear()
+        sigs = [
+            np.stack(_minhash_batch(pd.DataFrame({"text": chunk}), num_perm=p,
+                                    shingle_k=k)["minhash"])
+            for p, k in keys
+            for chunk in (texts[:3], texts[3:])
+        ]
+        info = _minhasher.cache_info()
+        return sigs, info.misses, info.hits, len(_minhasher(64, 3)._memo)
+
+    sigs, misses, hits, memo_len = ray.get(in_one_worker.remote())
+    assert (misses, hits) == (2, 6)  # one MinHasher per key, reused
+    assert memo_len == 7  # every distinct token md5'd once
+    for i, (p, k) in enumerate(keys):
+        got = np.vstack(sigs[2 * i : 2 * i + 2])
+        assert got.shape == (len(texts), p)
+        want = np.stack([MinHasher(p, k).signature(t) for t in texts])
+        assert (got == want).all()
+
+    docs = rd.from_pandas(pd.DataFrame({"doc_id": np.arange(12), "text": texts * 2}))
+    for p, k in [(64, 3), (16, 2)]:
+        out = docs.map_batches(
+            _minhash_batch, fn_kwargs={"num_perm": p, "shingle_k": k},
+            batch_format="pandas", batch_size=4,
+        ).to_pandas().sort_values("doc_id")
+        want = np.stack([MinHasher(p, k).signature(t) for t in texts * 2])
+        assert (np.stack(out["minhash"]) == want).all()
 
 
 def test_lsh_hot_cell_cap_is_loud_and_connectivity_preserving(caplog):
@@ -230,20 +275,20 @@ def test_multimodal_stub(ray_session):
     from ptrail_ray.functions.multimodal import decode_features, synth_media
 
     ds = rd.from_arrow(synth_media(32))
-    out = decode_features(ds, fake=True, concurrency=1).to_pandas()
+    out = decode_features(ds, fake=True).to_pandas()
     assert len(out) == 32
     assert out["decoded_ok"].all()
     assert "payload" not in out.columns  # payload dropped on output
     assert all(len(f) == 16 for f in out["feature"])
     # deterministic: same payload hash → same feature
-    out2 = decode_features(rd.from_arrow(synth_media(32)), fake=True, concurrency=1).to_pandas()
+    out2 = decode_features(rd.from_arrow(synth_media(32)), fake=True).to_pandas()
     f1 = np.stack(out.sort_values("media_id")["feature"].map(np.asarray))
     f2 = np.stack(out2.sort_values("media_id")["feature"].map(np.asarray))
     assert np.allclose(f1, f2)
     # non-fake on arbitrary bytes (not PNM, no PIL) raises — gated, not
     # silently faked
     with pytest.raises(Exception):
-        decode_features(rd.from_arrow(synth_media(4)), fake=False, concurrency=1).to_pandas()
+        decode_features(rd.from_arrow(synth_media(4)), fake=False).to_pandas()
 
 
 def test_real_wav_decode(ray_session):
@@ -257,7 +302,7 @@ def test_real_wav_decode(ray_session):
 
     t = synth_wav_media(n=48)
     out = (
-        decode_audio_features(rd.from_arrow(t), concurrency=1)
+        decode_audio_features(rd.from_arrow(t))
         .to_pandas()
         .sort_values("media_id")
         .reset_index(drop=True)
@@ -298,7 +343,7 @@ def test_real_ppm_decode_and_resize(ray_session):
 
     t = synth_ppm_media(n=24)
     out = (
-        decode_features(rd.from_arrow(t), fake=False, concurrency=1)
+        decode_features(rd.from_arrow(t), fake=False)
         .to_pandas()
         .sort_values("media_id")
         .reset_index(drop=True)

@@ -32,7 +32,7 @@ def test_extract_numeric(ray_session):
             "ts": pd.date_range("2024-01-01", periods=4, freq="1min"),
         }
     )
-    out = ExtractNumeric.stage(rd.from_pandas(pdf), concurrency=1).to_pandas()
+    out = ExtractNumeric.stage(rd.from_pandas(pdf)).to_pandas()
     out = out.sort_values("turn_idx")
     vals = out["k_value"].tolist()
     assert vals[0] == 12 and vals[3] == 0
