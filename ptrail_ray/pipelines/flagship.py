@@ -1,17 +1,16 @@
 """Flagship end-to-end pipeline (the reference's "real workload",
-SURVEY.md §3.3: clean → gap-detect → featurize → side-join → stats).
+SURVEY.md §3.3: clean → gap-detect → featurize → side-join → stats) and
+the one Dataset-level way to featurize, :func:`flagship`:
 
-    read transcripts → [conv-bucket exchange, elided on a declared
-    conv-partitioned layout] → one bucket task (:func:`featurize_bucket`):
-    project (m1/m2, drop text) → sort → fused window kernels → temporal
-    extractors → as-of probe against the broadcast side table
+    project (m1/m2, drop text) → [conv-bucket exchange, elided on a
+    declared conv-partitioned layout] → sort → fused window kernels →
+    tail (temporal extractors, as-of probe against the side table)
 
-Every plan runs the same bucket kernel, and :func:`choose_plan` decides
-whether the exchange runs. On the exchange plan the projection happens
-BEFORE the all-to-all ("prune at the read"): the kernels consume only
-the scalar measure channels, and the text column dominates row width
-~5x; the feature table is keyed by (conv_id, turn_idx) and joins back
-to the source text lazily.
+Each plan sorts a bucket once: the exchange sorts what it forms and runs
+:func:`featurize_sorted`; the per-file plan runs :func:`featurize_bucket`,
+which sorts. Giant conversations take the sub-range arm
+(stages/split.py), which ends in the same tail: one schema. Projecting
+BEFORE the all-to-all keeps the ~5x wider text out of the shuffle.
 """
 
 from __future__ import annotations
@@ -19,55 +18,49 @@ from __future__ import annotations
 from functools import partial
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ptrail_ray.schema import TEXT, TRANSCRIPT_COLUMNS, M1, M2
+from ptrail_ray.schema import TEXT, TRANSCRIPT_COLUMNS
 from ptrail_ray.sources.transcripts import read_transcripts
-from ptrail_ray.stages.asof import AsofJoiner, put_side_table
+from ptrail_ray.stages.asof import put_side_table
 from ptrail_ray.stages.bucket import map_conv_buckets, sort_bucket
-from ptrail_ray.stages.kernels import ALL_FEATURES, compute_features
-from ptrail_ray.stages.temporal import add_temporal_columns
+from ptrail_ray.stages.kernels import (
+    DEFAULT_GAP_SECONDS,
+    DEFAULT_SEGMENT_SECONDS,
+    compute_features,
+    feature_tail,
+    project_measures,
+)
+from ptrail_ray.stages.project import semi_join_keys
+from ptrail_ray.stages.salt import detect_hot_convs
+from ptrail_ray.stages.split import featurize_split, split_subrange_rows
 from ptrail_ray.state.manifest import conv_partitioned_files
 
 
-def project_measures(batch: pa.Table) -> pa.Table:
-    """Stateless pre-shuffle projection: text → (m1, m2), drop text."""
-    m1 = pc.coalesce(
-        pc.cast(pc.utf8_length(batch[TEXT]), pa.int64()), pa.scalar(0, pa.int64())
-    )
-    m2 = pc.coalesce(
-        pc.cast(pc.binary_length(batch[TEXT]), pa.int64()), pa.scalar(0, pa.int64())
-    )
-    out = batch.drop_columns([TEXT])
-    return out.append_column(M1, m1).append_column(M2, m2)
-
-
-def featurize_bucket(
+def featurize_sorted(
     table: pa.Table,
     *,
     side_ref=None,
-    gap_seconds: float = 120.0,
+    gap_seconds: float = DEFAULT_GAP_SECONDS,
+    segment_seconds: float = DEFAULT_SEGMENT_SECONDS,
     features: list[str] | None = None,
 ) -> pa.Table:
-    """The flagship's one bucket kernel: project → sort → fused kernels
-    → temporal → as-of probe, over a table of whole conversations.
+    """Fused kernels, then the tail, over one projected bucket of whole
+    conversations already sorted by (conv_id, turn_idx, ts): the
+    exchange plans' bucket kernel. ``side_ref``
+    (:func:`stages.asof.put_side_table`) is probed inside the task."""
+    table = compute_features(
+        table, features, gap_seconds=gap_seconds, segment_seconds=segment_seconds
+    )
+    return feature_tail(table, side_ref)
 
-    ``table`` may still carry text (a file of a conv-partitioned layout)
-    or arrive projected (the exchange plan projects before the shuffle).
-    ``side_ref`` (:func:`stages.asof.put_side_table`) backfills the side
-    attributes inline; building the joiner once per bucket is cheap next
-    to the kernels, and keeps the probe inside the bucket task."""
+
+def featurize_bucket(table: pa.Table, **kwargs) -> pa.Table:
+    """The per-file plan's bucket kernel: project → sort →
+    :func:`featurize_sorted` (same keywords) over whole conversations."""
     if TEXT in table.column_names:
-        # row-wise, so it commutes with the sort, which then no longer
-        # copies the text
-        table = project_measures(table)
-    table = sort_bucket(table)
-    table = compute_features(table, features or ALL_FEATURES, gap_seconds=gap_seconds)
-    table = add_temporal_columns(table)
-    if side_ref is not None:
-        table = AsofJoiner(side_ref)(table)
-    return table
+        table = project_measures(table)  # row-wise: the sort skips text
+    return featurize_sorted(sort_bucket(table), **kwargs)
 
 
 def choose_plan(
@@ -91,34 +84,50 @@ def flagship(
     ds,
     side: "pa.Table | None" = None,
     *,
-    num_buckets: int = 32,
-    gap_seconds: float = 120.0,
     features: list[str] | None = None,
+    num_buckets: int = 32,
+    gap_seconds: float = DEFAULT_GAP_SECONDS,
+    segment_seconds: float = DEFAULT_SEGMENT_SECONDS,
     hot_threshold: int | None = None,
+    split_threshold: int | None = None,
 ):
-    """Full featurization pipeline over a canonical transcript Dataset,
-    through the conv-bucket exchange.
+    """Featurize a canonical transcript Dataset through the conv-bucket
+    exchange: ``features`` (default ``stages.kernels.ALL_FEATURES``),
+    the temporal columns and, given a ``side`` table, its as-of
+    attributes. The output carries no text column.
 
     ``hot_threshold``: when set, a cheap partial-count pre-pass detects
     conversations above the threshold and salts the exchange so each
     gets a dedicated partition (stages/salt.py); ``None`` skips the
-    pre-pass (inputs known to be skew-bounded)."""
-    hot_convs = ()
-    if hot_threshold is not None:
-        # detect on the RAW input so conv_id column pruning pushes down
-        # into the parquet read (before any UDF blocks pushdown)
-        from ptrail_ray.stages.salt import detect_hot_convs
+    pre-pass (inputs known to be skew-bounded).
 
-        hot_convs = detect_hot_convs(ds, hot_threshold)
-
-    ds = ds.map_batches(project_measures, batch_format="pyarrow", batch_size=262144)
-    kern = partial(
-        featurize_bucket,
-        side_ref=None if side is None else put_side_table(side),
-        gap_seconds=gap_seconds,
-        features=features,
+    ``split_threshold``: when set, conversations above it go through
+    the sub-range arm (stages/split.py) and are unioned with the rest."""
+    # detect on the RAW input so conv_id column pruning pushes down
+    # into the parquet read (before any UDF blocks pushdown)
+    hot_convs = () if hot_threshold is None else detect_hot_convs(ds, hot_threshold)
+    # floor=1: giant detection gates the split arm's memory contract, so
+    # it must be exhaustive — the salting floor heuristic could miss a
+    # giant spread thinly over many blocks
+    giants = (
+        [] if split_threshold is None
+        else detect_hot_convs(ds, split_threshold, floor=1)
     )
-    return map_conv_buckets(ds, kern, num_buckets=num_buckets, hot_convs=hot_convs)
+    kw = dict(features=features, gap_seconds=gap_seconds, segment_seconds=segment_seconds)
+    if giants:
+        split = featurize_split(
+            semi_join_keys(ds, giants),
+            side,
+            subrange_rows=split_subrange_rows(split_threshold),
+            num_buckets=num_buckets,
+            **kw,
+        )
+        ds = semi_join_keys(ds, giants, anti=True)
+    ds = ds.map_batches(project_measures, batch_format="pyarrow", batch_size=262144)
+    side_ref = None if side is None else put_side_table(side)
+    kern = partial(featurize_sorted, side_ref=side_ref, **kw)
+    out = map_conv_buckets(ds, kern, num_buckets=num_buckets, hot_convs=hot_convs)
+    return out.union(split) if giants else out
 
 
 def flagship_auto(

@@ -13,7 +13,7 @@ the caller; the probing code builds an :class:`AsofJoiner` from the ref
 probes with ONE vectorized ``np.searchsorted`` — no shuffle, no
 per-batch sort, no pandas merge. Payload columns (text, features) stay
 zero-copy Arrow. The flagship builds one joiner per bucket, inside its
-bucket task (``pipelines.flagship.featurize_bucket``); :func:`asof_join`
+bucket task (``stages.kernels.feature_tail``); :func:`asof_join`
 / :func:`nearest_asof_join` are plain task stages that build one per
 batch and fuse with their upstream. There is no actor pool: a pool
 reserves CPUs the upstream tasks then cannot get, which hangs a 1-CPU

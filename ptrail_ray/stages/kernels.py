@@ -44,7 +44,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ptrail_ray.schema import CONV_ID, M1, M2, ROLE, TEXT, TOOL, TS
+from ptrail_ray.stages.asof import AsofJoiner
 from ptrail_ray.stages.bucket import conv_runs
+from ptrail_ray.stages.temporal import add_temporal_columns
 
 DEFAULT_GAP_SECONDS = 120.0
 DEFAULT_SEGMENT_SECONDS = 3600.0
@@ -176,18 +178,32 @@ def register(name: str, deps: tuple = (), dtype: pa.DataType = pa.float64()):
 # --- measure channels -------------------------------------------------------
 
 
+def _text_len(text, length) -> pa.Array:
+    return pc.coalesce(pc.cast(length(text), pa.int64()), pa.scalar(0, pa.int64()))
+
+
 @register(M1, dtype=pa.int64())
 def _m1(ctx: KernelContext):
     """Characters in text (lat-channel analog). Null text → 0."""
-    v = pc.utf8_length(ctx.table[TEXT])
-    return pc.coalesce(pc.cast(v, pa.int64()), pa.scalar(0, pa.int64()))
+    return _text_len(ctx.table[TEXT], pc.utf8_length)
 
 
 @register(M2, dtype=pa.int64())
 def _m2(ctx: KernelContext):
     """Bytes in text (lon-channel analog). Null text → 0."""
-    v = pc.binary_length(ctx.table[TEXT])
-    return pc.coalesce(pc.cast(v, pa.int64()), pa.scalar(0, pa.int64()))
+    return _text_len(ctx.table[TEXT], pc.binary_length)
+
+
+def project_measures(batch: pa.Table) -> pa.Table:
+    """Stateless projection: text → (m1, m2), drop text. Row-wise, so it
+    runs before the sort and the shuffle, which then no longer move the
+    text (it dominates row width ~5x)."""
+    text = batch[TEXT]
+    return (
+        batch.drop_columns([TEXT])
+        .append_column(M1, _text_len(text, pc.utf8_length))
+        .append_column(M2, _text_len(text, pc.binary_length))
+    )
 
 
 def _np_of(ctx: KernelContext, name: str) -> np.ndarray:
@@ -718,10 +734,15 @@ def compute_features(
     gap_seconds: float = DEFAULT_GAP_SECONDS,
     segment_seconds: float = DEFAULT_SEGMENT_SECONDS,
 ) -> pa.Table:
-    """Append the requested feature columns to one sorted bucket.
+    """Append the requested feature columns (default
+    :data:`ALL_FEATURES`) to one sorted bucket: the windowed part of the
+    bucket kernel, followed by :func:`feature_tail`.
 
     ``table`` must be conv-contiguous and sorted by (conv_id, turn_idx,
-    ts) — established by ``stages.bucket.map_conv_buckets``.
+    ts) — the exchange's bucket (``stages.bucket.map_conv_buckets``) or
+    the per-file plan's sort (``pipelines.flagship.featurize_bucket``).
+    Features already present as columns (m1/m2 from
+    :func:`project_measures`) are kept, not recomputed.
     """
     features = list(features) if features is not None else list(ALL_FEATURES)
     ctx = KernelContext(table, gap_seconds=gap_seconds, segment_seconds=segment_seconds)
@@ -740,24 +761,13 @@ def compute_features(
     return table
 
 
-def featurize(
-    ds,
-    features: list[str] | None = None,
-    *,
-    num_buckets: int = 32,
-    gap_seconds: float = DEFAULT_GAP_SECONDS,
-    segment_seconds: float = DEFAULT_SEGMENT_SECONDS,
-    **kwargs,
-):
-    """Dataset-level fused featurization: one shuffle, all kernels."""
-    from ptrail_ray.stages.bucket import map_conv_buckets
-
-    def fn(table: pa.Table) -> pa.Table:
-        return compute_features(
-            table,
-            features,
-            gap_seconds=gap_seconds,
-            segment_seconds=segment_seconds,
-        )
-
-    return map_conv_buckets(ds, fn, num_buckets=num_buckets, **kwargs)
+def feature_tail(table: pa.Table, side_ref=None) -> pa.Table:
+    """The row-wise tail every featurization ends in: the temporal
+    columns, then the as-of probe against the broadcast side table
+    (``side_ref`` from :func:`stages.asof.put_side_table`). Row-wise, so
+    the whole-conversation and the sub-range arms share it and have one
+    schema by construction."""
+    table = add_temporal_columns(table)
+    if side_ref is not None:
+        table = AsofJoiner(side_ref)(table)
+    return table

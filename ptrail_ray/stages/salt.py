@@ -20,8 +20,9 @@ handles skew explicitly (north_rule):
 
 A conversation larger than one worker's memory goes through sub-range
 splitting with K-row boundary overlap plus injected per-range prefix
-state — implemented in stages/split.py (``featurize_with_split`` routes
-giant conversations automatically).
+state — implemented in stages/split.py. ``pipelines.flagship.flagship``
+runs both: ``hot_threshold`` salts, ``split_threshold`` routes giant
+conversations to the split arm.
 """
 
 from __future__ import annotations
@@ -74,24 +75,3 @@ def detect_hot_convs(
     hot = grouped_agg_by_bucket(parts, CONV_ID, merge, num_buckets=16)
     return sorted(r[CONV_ID] for r in hot.take_all())
 
-
-def featurize_salted(
-    ds,
-    features: list[str] | None = None,
-    *,
-    num_buckets: int = 32,
-    hot_threshold: int = DEFAULT_HOT_THRESHOLD,
-    gap_seconds: float = 120.0,
-    segment_seconds: float = 3600.0,
-):
-    """Skew-aware variant of ``kernels.featurize`` — identical output."""
-    from ptrail_ray.stages.kernels import featurize
-
-    return featurize(
-        ds,
-        features,
-        num_buckets=num_buckets,
-        gap_seconds=gap_seconds,
-        segment_seconds=segment_seconds,
-        hot_convs=detect_hot_convs(ds, hot_threshold),
-    )

@@ -28,10 +28,12 @@ SURVEY.md §7.4-2 for *giant* conversations:
    adds the bases. Zero leakage is preserved: all injected state derives
    from PAST turns only.
 
-Cost: one extra narrow pass + a driver-side table of #sub-ranges rows.
-Use only for conversations above ``split_threshold`` — route the rest
-through the normal (or salted) path and union the results
-(``featurize_with_split``).
+The final pass ends in the whole-conversation arm's row-wise tail
+(``stages.kernels.feature_tail``: temporal columns, then the as-of
+probe), so both arms have one schema. Cost: one extra narrow pass + a
+driver-side table of #sub-ranges rows. Use only for conversations above
+``split_threshold`` — ``pipelines.flagship.flagship`` routes those here,
+the rest through the conv-bucket exchange, and unions the results.
 """
 
 from __future__ import annotations
@@ -41,10 +43,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ptrail_ray.schema import CONV_ID, TS, TURN_IDX
+from ptrail_ray.stages.asof import put_side_table
 from ptrail_ray.stages.bucket import conv_runs, map_conv_buckets
 from ptrail_ray.stages.kernels import (
-    ALL_FEATURES,
+    DEFAULT_GAP_SECONDS,
+    DEFAULT_SEGMENT_SECONDS,
     compute_features,
+    feature_tail,
+    project_measures,
 )
 
 K_OVERLAP = 3
@@ -57,9 +63,16 @@ SKEY_COL = "_skey"
 STATEFUL = ("session_id", "elapsed_s", "cum_len", "seg_id")
 
 
+def split_subrange_rows(split_threshold: int) -> int:
+    """Sub-range size for conversations above ``split_threshold`` turns."""
+    return max(split_threshold // 4, 10_000)
+
+
 def _emit_with_carries(batch: pa.Table, S: int) -> pa.Table:
     """Duplicate boundary rows into neighbouring sub-ranges and key every
-    copy by (conv_id, target sub)."""
+    copy by (conv_id, target sub). Text is projected to (m1, m2) first,
+    so the carries and the shuffle never move it."""
+    batch = project_measures(batch)
     turn = batch[TURN_IDX].to_numpy(zero_copy_only=False).astype(np.int64)
     sub = turn // S
     pos = turn - sub * S
@@ -88,7 +101,7 @@ def _emit_with_carries(batch: pa.Table, S: int) -> pa.Table:
     return out.append_column(SKEY_COL, skey)
 
 
-def _sub_kernel(table: pa.Table, features: list[str], gap_seconds: float,
+def _sub_kernel(table: pa.Table, features: "list[str] | None", gap_seconds: float,
                 segment_seconds: float) -> pa.Table:
     """Per-bucket kernel: buckets contain whole (conv, sub) groups keyed
     by SKEY; each group = carry + own rows of one sub-range."""
@@ -122,20 +135,22 @@ def _sub_kernel(table: pa.Table, features: list[str], gap_seconds: float,
 
 def featurize_split(
     ds,
-    features: list[str] | None = None,
+    side: "pa.Table | None" = None,
     *,
+    features: list[str] | None = None,
     subrange_rows: int = 100_000,
     num_buckets: int = 32,
-    gap_seconds: float = 120.0,
-    segment_seconds: float = 3600.0,
+    gap_seconds: float = DEFAULT_GAP_SECONDS,
+    segment_seconds: float = DEFAULT_SEGMENT_SECONDS,
 ):
     """Fused featurization for GIANT conversations via sub-range splitting.
 
-    Output is value-identical to ``featurize`` (proven in
-    tests/test_split.py) but no task ever holds more than
-    ``subrange_rows + K + 1`` rows of one conversation.
+    Output (text dropped, temporal columns and ``side``'s as-of
+    attributes added) is value-identical to ``pipelines.flagship``'s
+    whole-conversation arm (proven in tests/test_split.py) but no task
+    ever holds more than ``subrange_rows + K + 1`` rows of one
+    conversation.
     """
-    features = list(features) if features is not None else list(ALL_FEATURES)
     S = subrange_rows
 
     ds_k = ds.map_batches(
@@ -194,6 +209,7 @@ def featurize_split(
     import ray
 
     state_ref = ray.put((base_map, first_ts, first_m1))
+    side_ref = None if side is None else put_side_table(side)
 
     def pass_b(t: pa.Table) -> pa.Table:
         base_map_, first_ts_, first_m1_ = ray.get(state_ref)
@@ -234,38 +250,7 @@ def featurize_split(
             if name in t.column_names:
                 old = t[name].to_numpy(zero_copy_only=False)
                 t = t.set_column(t.column_names.index(name), name, fix_col(old))
-        return t.drop_columns([SUB_COL, CARRY_COL, SKEY_COL])
+        return feature_tail(t.drop_columns([SUB_COL, CARRY_COL, SKEY_COL]), side_ref)
 
     return passa.map_batches(pass_b, batch_format="pyarrow", batch_size=262144)
 
-
-def featurize_with_split(
-    ds,
-    features: list[str] | None = None,
-    *,
-    split_threshold: int = 1_000_000,
-    subrange_rows: int = 100_000,
-    num_buckets: int = 32,
-    gap_seconds: float = 120.0,
-    segment_seconds: float = 3600.0,
-):
-    """Route giant conversations through the split path, everything else
-    through the normal conv-bucket path; union the results."""
-    from ptrail_ray.stages.project import semi_join_keys
-    from ptrail_ray.stages.salt import detect_hot_convs
-    from ptrail_ray.stages.kernels import featurize
-
-    # floor=1: giant detection gates the split path's memory contract,
-    # so it must be exhaustive — the salting floor heuristic could miss
-    # a giant spread thinly over many blocks (ADVICE r01)
-    giants = detect_hot_convs(ds, split_threshold, floor=1)
-    kw = dict(
-        num_buckets=num_buckets, gap_seconds=gap_seconds, segment_seconds=segment_seconds
-    )
-    if not giants:
-        return featurize(ds, features, **kw)
-    cold = featurize(semi_join_keys(ds, giants, anti=True), features, **kw)
-    hot = featurize_split(
-        semi_join_keys(ds, giants), features, subrange_rows=subrange_rows, **kw
-    )
-    return cold.union(hot)

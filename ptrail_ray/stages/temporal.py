@@ -15,7 +15,6 @@ exactly: hour 0-4 'Late Night', (4,8] 'Early Morning', (8,12] 'Morning',
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -41,23 +40,20 @@ def add_temporal_columns(batch: pa.Table, ts_col: str = TS) -> pa.Table:
     )
     weekend = pc.is_in(dow, value_set=weekend_set)
 
-    hour = pc.hour(ts).to_numpy(zero_copy_only=False)
-    conditions = [
-        (hour >= 0) & (hour <= 4),
-        (hour > 4) & (hour <= 8),
-        (hour > 8) & (hour <= 12),
-        (hour > 12) & (hour <= 16),
-        (hour > 16) & (hour <= 20),
-        (hour > 20) & (hour <= 24),
-    ]
-    tod = np.select(conditions, TIME_OF_DAY)
+    # hour 0-4 → 0, else (h-1)//4: (4,8] → 1 ... (20,24) → 5; a null ts
+    # stays null
+    hour = pc.hour(ts)
+    tod_idx = pc.if_else(
+        pc.less_equal(hour, 4), 0, pc.divide(pc.subtract(hour, 1), 4)
+    )
+    tod = pc.take(pa.array(TIME_OF_DAY, type=pa.string()), tod_idx)
 
     for name, arr in [
         ("Date", date),
         ("Time", time),
         ("Day_Of_Week", dow_name),
         ("Weekend", weekend),
-        ("Time_Of_Day", pa.array(tod, type=pa.string())),
+        ("Time_Of_Day", tod),
     ]:
         batch = batch.append_column(name, arr)
     return batch

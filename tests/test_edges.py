@@ -8,7 +8,8 @@ import ray.data as rd
 from ptrail_ray.schema import TRANSCRIPT_SCHEMA
 from ptrail_ray.stages.asof import asof_join
 from ptrail_ray.stages.filters import filter_by_max, remove_duplicates
-from ptrail_ray.stages.kernels import compute_features, featurize
+from ptrail_ray.pipelines.flagship import flagship
+from ptrail_ray.stages.kernels import compute_features
 from ptrail_ray.stages.bucket import sort_bucket
 from ptrail_ray.stages.stats import conv_stats
 
@@ -19,9 +20,9 @@ def _empty_ds():
 
 def test_empty_through_everything(ray_session):
     e = _empty_ds()
-    assert featurize(e, num_buckets=2).count() == 0
+    assert flagship(e, num_buckets=2).count() == 0
     assert remove_duplicates(e, num_buckets=2).count() == 0
-    assert conv_stats(featurize(e, num_buckets=2)).count() == 0
+    assert conv_stats(flagship(e, num_buckets=2)).count() == 0
 
 
 def test_empty_side_table(synth_ds, ray_session):
@@ -57,7 +58,7 @@ def test_single_row_table(ray_session):
 
 def test_lag_k_features(synth_ds, synth_pdf):
     out = (
-        featurize(synth_ds, ["lag2_role", "lag3_role"], num_buckets=4)
+        flagship(synth_ds, features=["lag2_role", "lag3_role"], num_buckets=4)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "ts"])
         .reset_index(drop=True)

@@ -16,13 +16,13 @@ from ptrail_ray.stages.filters import (
     remove_convs_with_less_turns,
     remove_duplicates,
 )
-from ptrail_ray.stages.kernels import featurize
+from ptrail_ray.pipelines.flagship import flagship
 
 
 @pytest.fixture(scope="module")
 def feat_ds(synth_ds):
-    return featurize(
-        synth_ds, ["m1", "m2", "delta_t", "delta_len", "len_rate"], num_buckets=8
+    return flagship(
+        synth_ds, features=["m1", "m2", "delta_t", "delta_len", "len_rate"], num_buckets=8
     ).materialize()
 
 

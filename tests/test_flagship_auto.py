@@ -251,8 +251,8 @@ def test_job_refuses_cross_plan_resume(ray_session, tmp_path):
 def test_job_split_threshold_with_sf_side_backfills_both_arms(
     ray_session, tmp_path
 ):
-    """--sf-side must reach the _giants split arm too, so both output
-    arms share one schema (code-review r05)."""
+    """--sf-side must reach the _giants split arm too, and both output
+    arms share one schema: names, order and types."""
     import glob
     import sys
 
@@ -270,17 +270,20 @@ def test_job_split_threshold_with_sf_side_backfills_both_arms(
               "--num-cpus", "4", "--split-threshold", "500",
               "--sf-side", "/root/testdata/sf0.001", "--validate"])
 
-    g = pd.concat(
-        pq.read_table(f).to_pandas()
-        for f in glob.glob(os.path.join(out, "_giants", "*.parquet"))
-    )
-    m = pd.concat(
-        pq.read_table(f).to_pandas()
-        for f in glob.glob(os.path.join(out, "bucket=*", "part.parquet"))
-    )
+    gfiles = glob.glob(os.path.join(out, "_giants", "*.parquet"))
+    mfiles = glob.glob(os.path.join(out, "bucket=*", "part.parquet"))
+    g = pd.concat(pq.read_table(f).to_pandas() for f in gfiles)
+    m = pd.concat(pq.read_table(f).to_pandas() for f in mfiles)
     assert len(g) == 602 and len(m) == 112  # split conv vs the rest
     for df in (g, m):
         assert "attr_num" in df.columns and "attr_cat" in df.columns
+
+    def fields(f):
+        return [(x.name, x.type) for x in pq.read_schema(f)]
+
+    ref = fields(mfiles[0])
+    for f in gfiles + mfiles:
+        assert fields(f) == ref, f
 
 
 def test_verify_layout_proves_and_refutes(ray_session, tmp_path):

@@ -9,12 +9,13 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from ptrail_ray.stages.kernels import EWMA_ALPHA, featurize
+from ptrail_ray.pipelines.flagship import flagship
+from ptrail_ray.stages.kernels import EWMA_ALPHA
 
 
 @pytest.fixture(scope="module")
 def smooth_out(synth_ds):
-    out = featurize(synth_ds, ["ewma_m1", "zexp_m1", "m1"], num_buckets=8).to_pandas()
+    out = flagship(synth_ds, features=["ewma_m1", "zexp_m1", "m1"], num_buckets=8).to_pandas()
     return out.sort_values(["conv_id", "turn_idx", "ts"]).reset_index(drop=True)
 
 
@@ -56,7 +57,7 @@ def test_ewma_leakage_free(smooth_out, synth_pdf, ray_session):
     }
     keep = synth_pdf["turn_idx"] <= synth_pdf["conv_id"].map(kmap)
     prefix = (
-        featurize(rd.from_pandas(synth_pdf[keep]), ["ewma_m1", "zexp_m1"], num_buckets=4)
+        flagship(rd.from_pandas(synth_pdf[keep]), features=["ewma_m1", "zexp_m1"], num_buckets=4)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "ts"])
         .reset_index(drop=True)
@@ -157,7 +158,7 @@ def test_char_entropy_values():
 
 
 def test_corr8_matches_pandas_rolling(synth_ds):
-    out = featurize(synth_ds, ["m1", "m2", "corr8_m1_m2"], num_buckets=8).to_pandas()
+    out = flagship(synth_ds, features=["m1", "m2", "corr8_m1_m2"], num_buckets=8).to_pandas()
     out = out.sort_values(["conv_id", "turn_idx", "ts"]).reset_index(drop=True)
     for _, g in out.groupby("conv_id", sort=False):
         x = pd.Series(g["m1"].to_numpy(np.float64))
@@ -174,7 +175,7 @@ def test_corr8_leakage_free(synth_ds, synth_pdf, ray_session):
     import ray.data as rd
 
     full = (
-        featurize(synth_ds, ["corr8_m1_m2"], num_buckets=4)
+        flagship(synth_ds, features=["corr8_m1_m2"], num_buckets=4)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "ts"])
         .reset_index(drop=True)
@@ -185,7 +186,7 @@ def test_corr8_leakage_free(synth_ds, synth_pdf, ray_session):
     }
     keep = synth_pdf["turn_idx"] <= synth_pdf["conv_id"].map(kmap)
     prefix = (
-        featurize(rd.from_pandas(synth_pdf[keep]), ["corr8_m1_m2"], num_buckets=4)
+        flagship(rd.from_pandas(synth_pdf[keep]), features=["corr8_m1_m2"], num_buckets=4)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "ts"])
         .reset_index(drop=True)
@@ -202,7 +203,7 @@ def test_corr8_leakage_free(synth_ds, synth_pdf, ray_session):
 def test_topk_per_conv(synth_ds, synth_pdf):
     from ptrail_ray.stages.stats import topk_per_conv
 
-    ds = featurize(synth_ds, ["m1"], num_buckets=4)
+    ds = flagship(synth_ds, features=["m1"], num_buckets=4)
     out = topk_per_conv(ds, col="m1", k=3, num_buckets=4).to_pandas()
     pdf = synth_pdf.copy()
     pdf["m1"] = pdf["text"].fillna("").str.len().astype("int64")
@@ -250,7 +251,7 @@ def test_hll_accuracy_and_merge_independence():
 
 
 def test_diversity_counters(synth_ds, synth_pdf):
-    out = featurize(synth_ds, ["ntools_seen", "nswitches"], num_buckets=4).to_pandas()
+    out = flagship(synth_ds, features=["ntools_seen", "nswitches"], num_buckets=4).to_pandas()
     out = out.sort_values(["conv_id", "turn_idx", "ts"]).reset_index(drop=True)
     pdf = synth_pdf.sort_values(["conv_id", "turn_idx", "ts"]).reset_index(drop=True)
     for cid, g in out.groupby("conv_id", sort=False):
@@ -271,7 +272,7 @@ def test_diversity_counters(synth_ds, synth_pdf):
 def test_time_range_window(synth_ds, synth_pdf):
     """win1h_count/sum == brute-force per-conv time-radius counts
     (inclusive bounds, ties included), incl. the dup-ts edge convs."""
-    out = featurize(synth_ds, ["win1h_count", "win1h_sum_m1", "m1"], num_buckets=4)
+    out = flagship(synth_ds, features=["win1h_count", "win1h_sum_m1", "m1"], num_buckets=4)
     out = out.to_pandas().sort_values(["conv_id", "turn_idx", "ts"]).reset_index(drop=True)
     for cid, g in out.groupby("conv_id", sort=False):
         ts = g["ts"].astype("int64").to_numpy()  # us
@@ -356,7 +357,7 @@ def test_grouped_exact_quantiles(ray_session):
 
 
 def test_roll_median_matches_pandas(synth_ds):
-    out = featurize(synth_ds, ["m1", "roll5_med_m1"], num_buckets=4).to_pandas()
+    out = flagship(synth_ds, features=["m1", "roll5_med_m1"], num_buckets=4).to_pandas()
     out = out.sort_values(["conv_id", "turn_idx", "ts"]).reset_index(drop=True)
     for _, g in out.groupby("conv_id", sort=False):
         exp = pd.Series(g["m1"].to_numpy(np.float64)).rolling(5).median().to_numpy()

@@ -538,7 +538,7 @@ def test_power_iteration_matches_eigh(ray_session):
 
 
 def test_rank_and_rollmax_kernels_match_pandas(ray_session):
-    from ptrail_ray.stages.kernels import featurize
+    from ptrail_ray.pipelines.flagship import flagship
 
     rng = np.random.default_rng(9)
     sizes = [1, 2, 5, 30, 7]
@@ -553,7 +553,7 @@ def test_rank_and_rollmax_kernels_match_pandas(ray_session):
             )
     df = pd.DataFrame(rows, columns=["conv_id", "turn_idx", "role", "text", "tool", "ts"])
     out = (
-        featurize(rd.from_pandas(df), ["rank_m1", "roll5_max_m1"], num_buckets=4)
+        flagship(rd.from_pandas(df), features=["rank_m1", "roll5_max_m1"], num_buckets=4)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx"])
         .reset_index(drop=True)

@@ -1,10 +1,11 @@
 """Skew-handling tests: hot-conv detection + salted bucket parity."""
 
 import numpy as np
-import ray.data as rd
+import pandas as pd
 
-from ptrail_ray.stages.kernels import DERIVATIVE_FEATURES, featurize
-from ptrail_ray.stages.salt import detect_hot_convs, featurize_salted
+from ptrail_ray.pipelines.flagship import flagship
+from ptrail_ray.stages.kernels import DERIVATIVE_FEATURES
+from ptrail_ray.stages.salt import detect_hot_convs
 
 
 def test_detect_hot_convs(synth_ds, synth_pdf):
@@ -17,13 +18,13 @@ def test_detect_hot_convs(synth_ds, synth_pdf):
 
 def test_salted_equals_unsalted(synth_ds):
     base = (
-        featurize(synth_ds, num_buckets=4)
+        flagship(synth_ds, num_buckets=4)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "ts"])
         .reset_index(drop=True)
     )
     salted = (
-        featurize_salted(synth_ds, num_buckets=4, hot_threshold=100)
+        flagship(synth_ds, num_buckets=4, hot_threshold=100)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "ts"])
         .reset_index(drop=True)
@@ -33,4 +34,5 @@ def test_salted_equals_unsalted(synth_ds):
         a = base[col].to_numpy(dtype=float)
         b = salted[col].to_numpy(dtype=float)
         assert np.allclose(a, b, equal_nan=True), col
-    assert (base["text"].fillna("") == salted["text"].fillna("")).all()
+    key = ["conv_id", "turn_idx", "ts", "m1", "m2"]
+    pd.testing.assert_frame_equal(base[key], salted[key])

@@ -11,9 +11,9 @@ import ray.data as rd
 
 
 def _featurize_sorted(ds):
-    from ptrail_ray.stages.kernels import featurize
+    from ptrail_ray.pipelines.flagship import flagship
 
-    out = featurize(ds, num_buckets=4).to_pandas()
+    out = flagship(ds, num_buckets=4).to_pandas()
     return (
         out.sort_values(["conv_id", "turn_idx"], kind="stable")
         .reset_index(drop=True)

@@ -6,8 +6,9 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
-from ptrail_ray.stages.kernels import ALL_FEATURES, DERIVATIVE_FEATURES, featurize
-from ptrail_ray.stages.split import featurize_split, featurize_with_split
+from ptrail_ray.pipelines.flagship import flagship
+from ptrail_ray.stages.kernels import DERIVATIVE_FEATURES
+from ptrail_ray.stages.split import featurize_split
 
 CHECK = DERIVATIVE_FEATURES + ["m1", "m2"]
 EXACT = ["session_id", "seg_id"]
@@ -19,6 +20,7 @@ def _cmp(base: pd.DataFrame, split: pd.DataFrame):
     # different feature values (first occurrence vs zero-delta dup);
     # feature columns as secondary sort keys make row alignment
     # deterministic in both frames
+    assert list(base.columns) == list(split.columns)  # one schema
     key = ["conv_id", "turn_idx", "ts"] + CHECK
     base = base.sort_values(key, na_position="last").reset_index(drop=True)
     split = split.sort_values(key, na_position="last").reset_index(drop=True)
@@ -35,7 +37,7 @@ def _cmp(base: pd.DataFrame, split: pd.DataFrame):
 
 
 def test_split_equals_whole(synth_ds, ray_session):
-    base = featurize(synth_ds, num_buckets=4).to_pandas()
+    base = flagship(synth_ds, num_buckets=4).to_pandas()
     split = featurize_split(synth_ds, subrange_rows=50, num_buckets=4).to_pandas()
     _cmp(base, split)
 
@@ -43,16 +45,14 @@ def test_split_equals_whole(synth_ds, ray_session):
 def test_split_tiny_subranges(synth_ds, ray_session):
     """S smaller than the overlap window still must be exact (every row
     is near a boundary)."""
-    base = featurize(synth_ds, num_buckets=4).to_pandas()
+    base = flagship(synth_ds, num_buckets=4).to_pandas()
     split = featurize_split(synth_ds, subrange_rows=7, num_buckets=4).to_pandas()
     _cmp(base, split)
 
 
-def test_featurize_with_split_routing(synth_ds, synth_pdf, ray_session):
+def test_flagship_split_routing(synth_ds, synth_pdf, ray_session):
     """Giant convs (>200 turns in the fixture) go through the split arm;
     union output equals the naive whole-conversation run."""
-    base = featurize(synth_ds, num_buckets=4).to_pandas()
-    routed = featurize_with_split(
-        synth_ds, split_threshold=200, subrange_rows=100, num_buckets=4
-    ).to_pandas()
+    base = flagship(synth_ds, num_buckets=4).to_pandas()
+    routed = flagship(synth_ds, num_buckets=4, split_threshold=200).to_pandas()
     _cmp(base, routed)

@@ -5,12 +5,13 @@ import numpy as np
 import pandas as pd
 
 from ptrail_ray.schema import stats_ordered_cols
-from ptrail_ray.stages.kernels import DERIVATIVE_FEATURES, featurize
+from ptrail_ray.pipelines.flagship import flagship
+from ptrail_ray.stages.kernels import DERIVATIVE_FEATURES
 from ptrail_ray.stages.stats import conv_facts, conv_stats, dataset_facts
 
 
 def test_conv_stats_wide_and_parity(synth_ds, synth_pdf):
-    feat = featurize(synth_ds, num_buckets=8).materialize()
+    feat = flagship(synth_ds, num_buckets=8).materialize()
     out = conv_stats(feat).to_pandas().set_index("conv_id").sort_index()
 
     # fixed wide column order (ORDERED_COLS pattern, constants.py:34-43)

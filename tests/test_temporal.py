@@ -4,8 +4,9 @@ Sat/Sun — temporal_features_test.py:36-46)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
-from ptrail_ray.stages.temporal import add_temporal
+from ptrail_ray.stages.temporal import add_temporal, add_temporal_columns
 
 
 def test_temporal_columns(synth_ds, synth_pdf):
@@ -44,3 +45,11 @@ def test_weekend_crossing_exists(synth_pdf):
     """The fixture must actually exercise both weekend and weekday rows."""
     dow = pd.to_datetime(synth_pdf["ts"]).dt.dayofweek
     assert (dow >= 5).any() and (dow < 5).any()
+
+
+def test_time_of_day_null_ts_stays_null():
+    """A null ts gets a null Time_Of_Day, not a label."""
+    ts = pd.to_datetime(["2024-01-01 03:00", None, "2024-01-01 23:59"])
+    t = pa.table({"ts": pa.array(ts, pa.timestamp("us"))})
+    got = add_temporal_columns(t)["Time_Of_Day"].to_pylist()
+    assert got == ["Late Night", None, "Night"]

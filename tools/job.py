@@ -57,9 +57,9 @@ def _write_per_file(files, out_dir, done, featurize, data_format) -> int:
 
 
 def _write_exchange(args, ds, config, side, featurize, resume) -> int:
-    """Conv-bucket exchange plan (write_resumable), plus the sub-range
-    split arm for giant conversations. Returns the number of buckets
-    written."""
+    """Conv-bucket exchange plan (write_resumable, which sorts each
+    bucket before ``featurize`` runs), plus the sub-range split arm for
+    giant conversations. Returns the number of buckets written."""
     from ptrail_ray.pipelines.flagship import project_measures
     from ptrail_ray.state.manifest import (
         completed_buckets,
@@ -78,8 +78,7 @@ def _write_exchange(args, ds, config, side, featurize, resume) -> int:
         if not config.get("giants_done", False):
             import shutil
 
-            from ptrail_ray.stages.asof import asof_join
-            from ptrail_ray.stages.split import featurize_split
+            from ptrail_ray.stages.split import featurize_split, split_subrange_rows
 
             # giants are <<1% of rows: push the membership filter into the
             # parquet scan (row-group stats + C++ scan-level filtering)
@@ -92,19 +91,14 @@ def _write_exchange(args, ds, config, side, featurize, resume) -> int:
             # with no completion marker — clear before (re)writing
             if os.path.isdir(gdir):
                 shutil.rmtree(gdir)
-            giants_out = featurize_split(
-                ds_giants.map_batches(
-                    project_measures, batch_format="pyarrow", batch_size=262144
-                ),
-                subrange_rows=max((args.split_threshold or 40_000) // 4, 10_000),
+            # ends in the bucket kernel's tail: the bucket files' schema
+            featurize_split(
+                ds_giants,
+                side,
+                subrange_rows=split_subrange_rows(args.split_threshold),
                 num_buckets=args.num_buckets,
                 gap_seconds=args.gap_seconds,
-            )
-            if side is not None:
-                # same backfill as the main arm — a consumer unioning
-                # both arms must see one schema (code-review r05)
-                giants_out = asof_join(giants_out, side)
-            giants_out.write_parquet(gdir)
+            ).write_parquet(gdir)
             save_job_manifest(args.output, {**config, "giants_done": True})
 
     if args.partition_only:
@@ -167,7 +161,7 @@ def main(argv=None):
         default=None,
         help="conversations above this many turns are processed via "
         "sub-range splitting (stages/split.py) and written to a "
-        "separate _giants output (features only, no temporal columns)",
+        "separate _giants output with the bucket files' schema",
     )
     ap.add_argument(
         "--partition-only",
@@ -212,7 +206,11 @@ def main(argv=None):
     # sort shuffle + 4 read blocks per CPU keep the pre-sort pipeline fed
     DataContext.get_current().shuffle_strategy = "sort_shuffle_push_based"
 
-    from ptrail_ray.pipelines.flagship import choose_plan, featurize_bucket
+    from ptrail_ray.pipelines.flagship import (
+        choose_plan,
+        featurize_bucket,
+        featurize_sorted,
+    )
     from ptrail_ray.sources.transcripts import read_transcripts, side_scd_from_events
     from ptrail_ray.stages.asof import put_side_table
     from ptrail_ray.stages.salt import detect_hot_convs
@@ -302,17 +300,15 @@ def main(argv=None):
         save_job_manifest(args.output, config)
 
     side = side_scd_from_events(args.sf_side) if args.sf_side else None
-    featurize = partial(
-        featurize_bucket,
-        side_ref=None if side is None else put_side_table(side),
-        gap_seconds=args.gap_seconds,
-    )
+    kw = dict(side_ref=None if side is None else put_side_table(side),
+              gap_seconds=args.gap_seconds)
     if files is None:
-        n_written = _write_exchange(args, ds, config, side, featurize, resume)
+        kern = partial(featurize_sorted, **kw)  # write_resumable sorts
+        n_written = _write_exchange(args, ds, config, side, kern, resume)
     else:
         done = completed_buckets(args.output) if resume else set()
         n_written = _write_per_file(
-            files, args.output, done, featurize, args.data_format
+            files, args.output, done, partial(featurize_bucket, **kw), args.data_format
         )
 
     metrics = load_metrics(args.output)
