@@ -31,18 +31,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        pa.field("media_id", pa.int64()),
-        pa.field("media_type", pa.string()),  # 'image' | 'audio' | 'video'
-        pa.field("payload", pa.binary()),
-        pa.field("meta_width", pa.int32()),
-        pa.field("meta_height", pa.int32()),
-        pa.field("meta_duration_ms", pa.int32()),
-    ]
-)
-
-
 def synth_media(n: int = 64, seed: int = 21) -> pa.Table:
     """Deterministic fake media table (binary payloads)."""
     rng = np.random.default_rng(seed)

@@ -21,7 +21,6 @@ import pandas as pd
 import pyarrow as pa
 
 HLL_P = 14
-HLL_M = 1 << HLL_P
 
 
 def _alpha(m: int) -> float:

@@ -47,8 +47,9 @@ def featurize_sorted(
 ) -> pa.Table:
     """Fused kernels, then the tail, over one projected bucket of whole
     conversations already sorted by (conv_id, turn_idx, ts): the
-    exchange plans' bucket kernel. ``side_ref``
-    (:func:`stages.asof.put_side_table`) is probed inside the task."""
+    exchange plans' bucket kernel. ``side_ref`` is the joiner that
+    :func:`stages.asof.put_side_table` built once in the driver; the task
+    fetches and probes it."""
     table = compute_features(
         table, features, gap_seconds=gap_seconds, segment_seconds=segment_seconds
     )

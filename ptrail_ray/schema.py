@@ -21,12 +21,6 @@ TS = "ts"
 
 TRANSCRIPT_COLUMNS = [CONV_ID, TURN_IDX, ROLE, TEXT, TOOL, TS]
 
-# Stable total order within a conversation. The reference sorts
-# (traj_id, DateTime) with a non-stable quicksort (TrajectoryDF.py:86-87);
-# we instead define a deterministic total order so per-turn text is
-# byte-equal across runs (BASELINE "stable turn ordering").
-SORT_KEYS = [TURN_IDX, TS]
-
 TRANSCRIPT_SCHEMA = pa.schema(
     [
         pa.field(CONV_ID, pa.string()),

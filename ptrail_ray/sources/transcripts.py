@@ -161,13 +161,20 @@ def _assign_turn_idx(table: pa.Table) -> pa.Table:
 def derive_from_events(sf_dir: str, *, num_buckets: int = 32):
     """events.parquet → canonical transcripts Dataset (matches
     TRANSCRIPTS_SQL exactly)."""
+    import pyarrow.parquet as pq
     import ray
     import ray.data as rd
 
     ncpu = int(ray.cluster_resources().get("CPU", 8))
+    path = os.path.join(sf_dir, "events.parquet")
+    cols = ["event_id", "ts", "user_id", "event_type", "props"]
+    # the file's schema without its b'pandas' metadata (see
+    # stages.bucket._drop_schema_metadata)
+    schema = pq.read_schema(path)
     ds = rd.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type", "props"],
+        path,
+        columns=cols,
+        schema=pa.schema([schema.field(c) for c in cols]),
         override_num_blocks=max(8, ncpu),
     )
     ds = ds.map_batches(_project_events, batch_format="pyarrow", batch_size=262144)

@@ -7,17 +7,17 @@ with the greatest ``effective_ts <= ts`` for the turn's join key —
 inclusive boundary, never a future version (zero temporal leakage,
 SURVEY.md §2.5).
 
-Ray design: the side table is small (a dimension) → ``ray.put`` ONCE by
-the caller; the probing code builds an :class:`AsofJoiner` from the ref
-(a sorted composite index, cheap next to a bucket's featurization) and
-probes with ONE vectorized ``np.searchsorted`` — no shuffle, no
-per-batch sort, no pandas merge. Payload columns (text, features) stay
-zero-copy Arrow. The flagship builds one joiner per bucket, inside its
-bucket task (``stages.kernels.feature_tail``); :func:`asof_join`
-/ :func:`nearest_asof_join` are plain task stages that build one per
-batch and fuse with their upstream. There is no actor pool: a pool
-reserves CPUs the upstream tasks then cannot get, which hangs a 1-CPU
-cluster.
+Ray design: the side table is small (a dimension), so the driver builds
+ONE :class:`AsofJoiner` from it (a sorted composite index that holds only
+numpy and Arrow buffers) and ``ray.put``s the built joiner
+(:func:`put_side_table`). Every bucket or batch ``ray.get``s it, a
+zero-copy fetch, and probes with ONE vectorized ``np.searchsorted`` — no
+shuffle, no per-batch sort, no pandas merge, and no index rebuilt per
+task. Payload columns (text, features) stay zero-copy Arrow. The flagship
+probes it inside each bucket task (``stages.kernels.feature_tail``);
+:func:`asof_join` / :func:`nearest_asof_join` are plain task stages that
+fuse with their upstream. There is no actor pool: a pool reserves CPUs
+the upstream tasks then cannot get, which hangs a 1-CPU cluster.
 
 Composite index: side rows sorted by (key, effective_ts) are encoded as
 ``key_id << TS_BITS | (ts - ts_min)`` in uint64; a probe row's
@@ -38,27 +38,23 @@ import ray
 
 from ptrail_ray.schema import TS
 
-SIDE_COLS = ["key", "effective_ts", "attr_num", "attr_cat"]
-
 
 def put_side_table(side: "pa.Table | pd.DataFrame"):
-    """Broadcast the dimension once; returns the object ref every
-    AsofJoiner is built from."""
-    if isinstance(side, pa.Table):
-        side = side.to_pandas()
-    side = side.sort_values(["key", "effective_ts"], kind="stable").reset_index(
-        drop=True
-    )
-    return ray.put(side)
+    """Build the dimension's :class:`AsofJoiner` once, in the caller, and
+    broadcast it; returns the object ref that
+    ``stages.kernels.feature_tail`` fetches and probes."""
+    return ray.put(AsofJoiner(side))
 
 
 class AsofJoiner:
-    """Per-batch vectorized point-in-time join. ``side_ref`` is a
-    :func:`put_side_table` ref or the side table as a pandas frame; the
-    index is built once, then the joiner is called on each table."""
+    """Vectorized point-in-time join over a side table (pandas or Arrow).
+    The index is built once, then the joiner is called on each table; it
+    holds only numpy and Arrow buffers, so a ``ray.put`` of it is fetched
+    zero-copy."""
 
-    def __init__(self, side_ref, key_col: str = "conv_id", ts_col: str = TS):
-        side = ray.get(side_ref) if not isinstance(side_ref, pd.DataFrame) else side_ref
+    def __init__(self, side, key_col: str = "conv_id", ts_col: str = TS):
+        if isinstance(side, pa.Table):
+            side = side.to_pandas()
         side = side.sort_values(["key", "effective_ts"], kind="stable").reset_index(
             drop=True
         )
@@ -67,15 +63,15 @@ class AsofJoiner:
         self.attr_cols = [c for c in side.columns if c not in ("key", "effective_ts")]
         self.attrs = {c: pa.Array.from_pandas(side[c]) for c in self.attr_cols}
 
-        self.keys = pd.Index(pd.unique(side["key"]))
-        self.keys_arr = pa.array(self.keys, type=pa.string())
-        key_id = self.keys.get_indexer(side["key"]).astype(np.uint64)
+        keys = pd.Index(pd.unique(side["key"]))
+        self.keys_arr = pa.array(keys, type=pa.string())
+        key_id = keys.get_indexer(side["key"]).astype(np.uint64)
         ts = side["effective_ts"].astype("datetime64[us]").to_numpy().view("int64")
         self.ts_min = int(ts.min()) if len(ts) else 0
         rel = (ts - self.ts_min).astype(np.int64)
         assert (rel >= 0).all()
         span_bits = max(int(rel.max()).bit_length() + 1, 1) if len(rel) else 1
-        key_bits = max(int(len(self.keys)).bit_length() + 1, 1)
+        key_bits = max(int(len(keys)).bit_length() + 1, 1)
         assert span_bits + key_bits <= 64, "side table too large for composite asof"
         self.ts_bits = np.uint64(span_bits)
         self.side_comp = (key_id << self.ts_bits) | rel.astype(np.uint64)
@@ -118,11 +114,11 @@ class AsofJoiner:
         return batch
 
 
-def _probe_stage(ds, joiner_cls, side, key_col: str, batch_size):
-    side_ref = put_side_table(side)
+def _probe_stage(ds, joiner: AsofJoiner, batch_size):
+    joiner_ref = ray.put(joiner)
 
     def probe(batch: pa.Table) -> pa.Table:
-        return joiner_cls(side_ref, key_col=key_col)(batch)
+        return ray.get(joiner_ref)(batch)
 
     return ds.map_batches(probe, batch_format="pyarrow", batch_size=batch_size)
 
@@ -137,7 +133,7 @@ def asof_join(
     """Dataset-level as-of backfill: broadcast ``side`` and probe it in
     a task stage. Appends ``attr_num`` (float64) and ``attr_cat``
     (string); turns with no version at or before ``ts`` get nulls."""
-    return _probe_stage(ds, AsofJoiner, side, key_col, batch_size)
+    return _probe_stage(ds, AsofJoiner(side, key_col=key_col), batch_size)
 
 
 class NearestAsofJoiner(AsofJoiner):
@@ -226,4 +222,4 @@ def nearest_asof_join(
 ):
     """Dataset-level nearest-version temporal join (see
     NearestAsofJoiner). Same broadcast task-stage plan as asof_join."""
-    return _probe_stage(ds, NearestAsofJoiner, side, key_col, batch_size)
+    return _probe_stage(ds, NearestAsofJoiner(side, key_col=key_col), batch_size)

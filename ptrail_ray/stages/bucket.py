@@ -145,6 +145,12 @@ def map_conv_buckets(
     )
 
 
+def _drop_schema_metadata(block: pa.Table) -> pa.Table:
+    # pyarrow 16 cannot hash pandas' b'pandas' schema metadata: Ray's concat
+    # of blocks carrying it logs "Failed to hash the schemas"
+    return block.replace_schema_metadata(None)
+
+
 def grouped_agg_by_bucket(
     ds,
     key_col: "str | list[str]",
@@ -190,7 +196,8 @@ def grouped_agg_by_bucket(
             return agg_fn(df)
 
     return (
-        ds.map_batches(add_key_bucket, batch_format="pyarrow", batch_size=partial_batch)
+        ds.map_batches(_drop_schema_metadata, batch_format="pyarrow", batch_size=None)
+        .map_batches(add_key_bucket, batch_format="pyarrow", batch_size=partial_batch)
         .groupby(BUCKET_COL)
         .map_groups(per_bucket, batch_format=group_format)
     )

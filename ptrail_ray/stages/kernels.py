@@ -43,8 +43,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
+
 from ptrail_ray.schema import CONV_ID, M1, M2, ROLE, TEXT, TOOL, TS
-from ptrail_ray.stages.asof import AsofJoiner
 from ptrail_ray.stages.bucket import conv_runs
 from ptrail_ray.stages.temporal import add_temporal_columns
 
@@ -764,10 +765,10 @@ def compute_features(
 def feature_tail(table: pa.Table, side_ref=None) -> pa.Table:
     """The row-wise tail every featurization ends in: the temporal
     columns, then the as-of probe against the broadcast side table
-    (``side_ref`` from :func:`stages.asof.put_side_table`). Row-wise, so
-    the whole-conversation and the sub-range arms share it and have one
-    schema by construction."""
+    (``side_ref`` from :func:`stages.asof.put_side_table`: the joiner is
+    fetched, never rebuilt). Row-wise, so the whole-conversation and the
+    sub-range arms share it and have one schema by construction."""
     table = add_temporal_columns(table)
     if side_ref is not None:
-        table = AsofJoiner(side_ref)(table)
+        table = ray.get(side_ref)(table)
     return table

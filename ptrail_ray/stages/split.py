@@ -58,10 +58,6 @@ SUB_COL = "_sub"
 CARRY_COL = "_carry"
 SKEY_COL = "_skey"
 
-# features whose values need conversation-level prefix state (recomputed
-# in the final pass); everything else is exact from the overlap alone
-STATEFUL = ("session_id", "elapsed_s", "cum_len", "seg_id")
-
 
 def split_subrange_rows(split_threshold: int) -> int:
     """Sub-range size for conversations above ``split_threshold`` turns."""

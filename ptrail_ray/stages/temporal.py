@@ -35,13 +35,11 @@ def add_temporal_columns(batch: pa.Table, ts_col: str = TS) -> pa.Table:
     day_names = pa.array(DAY_NAMES, type=pa.string())
     dow_name = pc.take(day_names, dow)
 
-    weekend_set = pa.array(
-        [DAY_NAMES.index(d) for d in WEEKEND_DAYS], type=dow.type
-    )
-    weekend = pc.is_in(dow, value_set=weekend_set)
+    # a lookup by day index, like the day names: a null ts stays null
+    is_weekend = pa.array([d in WEEKEND_DAYS for d in DAY_NAMES], type=pa.bool_())
+    weekend = pc.take(is_weekend, dow)
 
-    # hour 0-4 → 0, else (h-1)//4: (4,8] → 1 ... (20,24) → 5; a null ts
-    # stays null
+    # hour 0-4 → 0, else (h-1)//4: (4,8] → 1 ... (20,24) → 5
     hour = pc.hour(ts)
     tod_idx = pc.if_else(
         pc.less_equal(hour, 4), 0, pc.divide(pc.subtract(hour, 1), 4)

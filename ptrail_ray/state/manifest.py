@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ptrail_ray.schema import CONV_ID, TS, TURN_IDX
 from ptrail_ray.stages.bucket import BUCKET_COL, assign_bucket, sort_bucket
 
 MANIFEST_DIR = "_manifest"
@@ -182,7 +183,9 @@ def write_bucket(
     data_tmp = os.path.join(bdir, f"part.{data_format}.tmp")
     data_final = os.path.join(bdir, f"part.{data_format}")
     if data_format == "parquet":
-        pq.write_table(table, data_tmp, use_dictionary=_dictionary_columns(table))
+        # statistics only on the key columns, the only ones readers filter on
+        pq.write_table(table, data_tmp, use_dictionary=_dictionary_columns(table),
+                       write_statistics=[CONV_ID, TURN_IDX, TS])
     else:
         table.to_pandas().to_json(
             data_tmp, orient="records", lines=True, date_format="iso"

@@ -3,10 +3,12 @@ with a brute-force oracle (SURVEY.md §2.5 / FIXTURES.md §2)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import ray
 import ray.data as rd
 
 from ptrail_ray.oracle import oracle_asof
-from ptrail_ray.stages.asof import asof_join
+from ptrail_ray.stages.asof import AsofJoiner, asof_join, put_side_table
 
 
 def _mk_turns():
@@ -99,3 +101,24 @@ def test_asof_matches_bruteforce_oracle(synth_pdf, ray_session):
         equal_nan=True,
     )
     assert (got["attr_cat"].fillna("∅") == exp["attr_cat"].fillna("∅")).all()
+
+
+def test_feature_tail_probes_the_broadcast_joiner(ray_session, monkeypatch):
+    """put_side_table broadcasts a built joiner of numpy and Arrow
+    buffers; feature_tail fetches it and never builds one."""
+    from ptrail_ray.stages.kernels import feature_tail
+
+    turns = pa.Table.from_pandas(_mk_turns(), preserve_index=False)
+    ref = put_side_table(_mk_side())
+    joiner = ray.get(ref)
+    assert isinstance(joiner, AsofJoiner)
+    for name, val in vars(joiner).items():
+        assert not isinstance(val, (pd.DataFrame, pd.Series, pd.Index)), name
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("feature_tail built an AsofJoiner")
+
+    monkeypatch.setattr(AsofJoiner, "__init__", no_build)
+    out = feature_tail(turns, ref).to_pandas()
+    assert out["attr_num"].tolist()[:5] == [1.0, 1.0, 2.0, 3.0, 3.0]
+    assert pd.isna(out["attr_num"].iloc[5])

@@ -248,6 +248,48 @@ def test_job_refuses_cross_plan_resume(ray_session, tmp_path):
                   "--num-cpus", "4"])
 
 
+def test_job_per_file_fault_raises_and_resume_conserves(
+    ray_session, tmp_path, capsys
+):
+    """An input file overwritten with garbage fails its bucket task: the
+    job raises instead of hanging, writes no manifest for that bucket
+    (the others finish), and once the file is restored a resume writes
+    only that bucket and conserves every row."""
+    import json
+    import shutil
+    import sys
+
+    import ray
+
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from tools.job import main as job_main
+
+    from ptrail_ray.sources.transcripts import write_synth
+    from ptrail_ray.state.manifest import completed_buckets, conv_partitioned_files
+
+    src = str(tmp_path / "src")
+    out = str(tmp_path / "out")
+    write_synth(src, n_convs=30, mean_turns=6, seed=41, n_files=3, n_hot=0)
+    bad = conv_partitioned_files(src)[1]
+    good = str(tmp_path / "good.parquet")
+    shutil.copy(bad, good)
+    with open(bad, "wb") as fh:
+        fh.write(b"not parquet " * 100)
+
+    with pytest.raises(ray.exceptions.RayTaskError, match="Parquet"):
+        job_main(["--input", src, "--output", out, "--num-cpus", "4"])
+    assert completed_buckets(out) == {0, 2}
+
+    shutil.copy(good, bad)
+    capsys.readouterr()
+    job_main(["--input", src, "--output", out, "--num-cpus", "4", "--validate"])
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["buckets_written_this_run"] == 1
+    assert summary["validation"]["conserved"]
+    assert summary["rows"] == summary["validation"]["input_rows"] > 0
+    assert completed_buckets(out) == {0, 1, 2}
+
+
 def test_job_split_threshold_with_sf_side_backfills_both_arms(
     ray_session, tmp_path
 ):

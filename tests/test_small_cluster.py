@@ -53,6 +53,35 @@ side = pd.DataFrame({"key": first.index, "effective_ts": first.to_numpy(),
 out = flagship_auto(corpus, side).to_pandas()
 print(entry_rows, len(out), int(out["attr_num"].notna().sum()))
 """,
+    # tools/job.py's per-file plan with a side table: the benchmark's path.
+    # One signup event per conversation, at its first turn, so the
+    # inclusive as-of probe matches every turn.
+    "job": """
+import glob
+import os
+
+import pandas as pd
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+
+from ptrail_ray.sources.transcripts import write_synth
+from tools.job import main
+
+corpus = write_synth(sys.argv[2], n_convs=40, mean_turns=8, seed=3, n_files=3,
+                     n_hot=0)
+first = (pads.dataset(corpus).to_table(columns=["conv_id", "ts"]).to_pandas()
+         .groupby("conv_id")["ts"].min())
+sf, out = sys.argv[2] + "_sf", sys.argv[2] + "_out"
+os.makedirs(sf)
+pd.DataFrame({"event_id": range(len(first)), "ts": first.to_numpy(),
+              "user_id": first.index.str.removeprefix("conv-"),
+              "event_type": "signup", "value": 1.0}).to_parquet(
+    os.path.join(sf, "events.parquet"))
+main(["--input", corpus, "--output", out, "--sf-side", sf, "--validate"])
+feats = pd.concat(pq.read_table(f).to_pandas()
+                  for f in glob.glob(os.path.join(out, "bucket=*", "*.parquet")))
+assert len(feats) > 0 and feats["attr_num"].notna().all()
+""",
     # 200 docs, doc k + 100 an exact copy of doc k: 100 pairs at jaccard 1.
     # The inputs are read from parquet, so read tasks run upstream of the
     # stage under test and need a CPU of their own.
@@ -147,8 +176,9 @@ def test_flagship_finishes_on_small_cluster(tmp_path, num_cpus):
     assert matched == auto_rows
 
 
-@pytest.mark.parametrize("case", ["minhash", "decode"])
+@pytest.mark.parametrize("case", ["minhash", "decode", "job"])
 def test_task_stages_finish_at_one_cpu(tmp_path, case):
     """MinHash signatures and the media decoders were actor pools of at
-    least two actors; each case asserts its own output."""
+    least two actors; the job's per-file plan runs plain tasks that fetch
+    the broadcast as-of joiner. Each case asserts its own output."""
     _run(case, 1, tmp_path)

@@ -74,3 +74,61 @@ def test_json_roundtrip_featurizes_identically(synth_ds, format_dirs):
     expected = _featurize_sorted(synth_ds)
     got = _featurize_sorted(read_transcripts_json(json_dir))
     pd.testing.assert_frame_equal(got, expected)
+
+
+def _schema_hash_warnings() -> int:
+    """Lines of Ray's "Failed to hash the schemas" warning in this
+    session's worker logs so far."""
+    import glob
+
+    import ray
+
+    logs = ray._private.worker.global_worker.node.get_logs_dir_path()
+    n = 0
+    for f in glob.glob(os.path.join(logs, "worker-*.err")):
+        with open(f, errors="replace") as fh:
+            n += sum("Failed to hash the schemas" in line for line in fh)
+    return n
+
+
+def test_pandas_schema_metadata_stays_out_of_block_concat(tmp_path):
+    """Parquet written by pandas carries b'pandas' schema metadata, which
+    pyarrow 16 cannot hash: Ray's concat of such blocks logs "Failed to
+    hash the schemas". The events-derived transcripts and
+    grouped_agg_by_bucket drop it before any stage coalesces blocks."""
+    import numpy as np
+    import pyarrow as pa
+
+    from ptrail_ray.sources.transcripts import derive_from_events
+    from ptrail_ray.stages.bucket import grouped_agg_by_bucket
+    from ptrail_ray.stages.salt import detect_hot_convs
+
+    n = 4000
+    rng = np.random.default_rng(13)
+    pd.DataFrame(
+        {
+            "event_id": np.arange(n, dtype=np.int64),
+            "ts": pd.Timestamp("2024-01-01")
+            + pd.to_timedelta(rng.integers(0, 86400, n), unit="s"),
+            "user_id": rng.integers(0, 40, n),
+            "event_type": rng.choice(["click", "view", "purchase", "error"], n),
+            "props": rng.choice(["a", "bb", "ccc"], n),
+            "value": rng.random(n),
+        }
+    ).to_parquet(tmp_path / "events.parquet", row_group_size=250)
+
+    before = _schema_hash_warnings()
+    ds = derive_from_events(str(tmp_path), num_buckets=4)
+    assert ds.count() == n
+    assert len(detect_hot_convs(ds, 50)) > 0
+    # blocks as pandas-format stages emit them: with b'pandas' metadata
+    events = pd.read_parquet(tmp_path / "events.parquet", columns=["user_id", "value"])
+    blocks = [pa.Table.from_pandas(events.iloc[i::4], preserve_index=False) for i in range(4)]
+    sums = grouped_agg_by_bucket(
+        rd.from_arrow(blocks),
+        "user_id",
+        lambda df: df.groupby("user_id", as_index=False)["value"].sum(),
+        num_buckets=4,
+    ).to_pandas()
+    assert len(sums) == 40
+    assert _schema_hash_warnings() == before

@@ -6,7 +6,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ptrail_ray.stages.temporal import add_temporal, add_temporal_columns
+from ptrail_ray.stages.temporal import (
+    TEMPORAL_COLUMNS,
+    add_temporal,
+    add_temporal_columns,
+)
 
 
 def test_temporal_columns(synth_ds, synth_pdf):
@@ -53,3 +57,13 @@ def test_time_of_day_null_ts_stays_null():
     t = pa.table({"ts": pa.array(ts, pa.timestamp("us"))})
     got = add_temporal_columns(t)["Time_Of_Day"].to_pylist()
     assert got == ["Late Night", None, "Night"]
+
+
+def test_null_ts_gives_null_in_every_temporal_column():
+    """A null ts gets a null Weekend too, like the other four columns."""
+    ts = pd.to_datetime(["2024-01-06 03:00", None])  # a Saturday, then null
+    t = pa.table({"ts": pa.array(ts, pa.timestamp("us"))})
+    got = add_temporal_columns(t)
+    assert got["Weekend"].to_pylist() == [True, None]
+    for name in TEMPORAL_COLUMNS:
+        assert got[name].null_count == 1, name

@@ -32,28 +32,27 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 def _write_per_file(files, out_dir, done, featurize, data_format) -> int:
     """Exchange-free plan over a declared conv-partitioned input: one
-    Ray task per pending input file (bucket index == file index) runs
-    the flagship bucket kernel and writes its bucket atomically — no
-    shuffle, no spill. Returns the number of buckets written."""
+    plain Ray task per pending input file (bucket index == file index),
+    at Ray's default CPU request, runs the flagship bucket kernel and
+    writes its bucket atomically — no shuffle, no spill. Every task ends
+    before a failure is raised, so a resume never races this run's
+    writes. Returns the number of buckets written."""
     import pyarrow.parquet as pq
-    import ray.data as rd
+    import ray
 
     from ptrail_ray.schema import TRANSCRIPT_COLUMNS
     from ptrail_ray.state.manifest import write_bucket
 
-    todo = [{"idx": i, "path": f} for i, f in enumerate(files) if i not in done]
-    if not todo:
-        return 0
+    @ray.remote
+    def process(i, f, featurize):
+        t = featurize(pq.read_table(f, columns=TRANSCRIPT_COLUMNS))
+        write_bucket(t, i, out_dir, lineage=f, data_format=data_format)
 
-    def process(batch):
-        for i, f in zip(batch["idx"], batch["path"]):
-            t = featurize(pq.read_table(f, columns=TRANSCRIPT_COLUMNS))
-            write_bucket(t, int(i), out_dir, lineage=str(f), data_format=data_format)
-        return batch[["idx"]]
-
-    return rd.from_items(todo).map_batches(
-        process, batch_size=1, batch_format="pandas"
-    ).count()
+    refs = [
+        process.remote(i, f, featurize) for i, f in enumerate(files) if i not in done
+    ]
+    ray.wait(refs, num_returns=len(refs))
+    return len(ray.get(refs))
 
 
 def _write_exchange(args, ds, config, side, featurize, resume) -> int:
