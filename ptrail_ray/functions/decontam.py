@@ -18,9 +18,9 @@ its task.
 
 Gram identity is a pair of two independent 64-bit hashes (stable
 SipHash of each UNIQUE token via ``pd.util.hash_array``, combined over
-the window by a wrapping polynomial) — effectively 128 bits, the same
-collision budget as `dedup.content_rep_map` (<1e-18 at 10⁹ grams), so
-gram STRINGS are never materialized: tokenization is the Arrow
+the window by a wrapping polynomial) — effectively 128 bits: among N
+distinct grams any collision has probability about N²/2¹²⁹ (<1e-18 at
+10⁹ grams), so gram STRINGS are never materialized: tokenization is the Arrow
 kernel chain (`tokenize.encoded_tokens`), token hashes are computed
 once per batch-unique token, and window combination is pure wrapping
 uint64 arithmetic over the flat token array (winnow-style boundary

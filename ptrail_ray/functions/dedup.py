@@ -471,26 +471,17 @@ def minhash_lsh_pairs(
     shingle_k: int = 3,
     jaccard_threshold: float = 0.5,
     max_bucket: int = 200,
-    collapse_exact: bool = True,
 ):
     """Near-duplicate candidate pairs via MinHash-LSH, verified with
     exact shingle Jaccard. Returns a Dataset of
     (doc_id_a, doc_id_b, jaccard) with doc_id_a < doc_id_b.
 
-    ``collapse_exact`` (default): verification runs through
-    ``verify_pairs_jaccard_collapsed`` — byte-identical docs share one
-    Jaccard computation and text ships per unique CONTENT pair rather
-    than per candidate pair. Output is identical either way; on
-    exact-dup-heavy corpora (the common web-crawl case) the collapsed
-    path removes the dominant text exchange.
-
     Pipeline: signature (task stage) → band explode → groupby
     (band_id, band_hash) → pairs per bucket → dedup pairs → exact-verify
-    via a distributed bucket join: pair requests are exploded to one row
-    per (pair, side) keyed by doc_id, co-located with the text table in
-    doc_id hash buckets, then regrouped by pair to compute exact shingle
-    Jaccard — text is re-shipped only for docs that appear in candidate
-    pairs, and nothing unbounded ever reaches the driver.
+    in ``verify_pairs_jaccard``: a broadcast of the candidate docs'
+    shingle sets when they fit its caps, else a distributed doc_id/pair
+    exchange. Either way text moves only for docs that appear in
+    candidate pairs, and nothing unbounded ever reaches the driver.
     """
     rows_per_band = num_perm // bands
     sigged = ds.map_batches(
@@ -523,8 +514,7 @@ def minhash_lsh_pairs(
         partial_batch=None,
     )
 
-    verify = verify_pairs_jaccard_collapsed if collapse_exact else verify_pairs_jaccard
-    return verify(
+    return verify_pairs_jaccard(
         pairs,
         ds,
         shingle_k=shingle_k,
@@ -538,7 +528,6 @@ def _try_broadcast_verify(
     *,
     shingle_k: int,
     jaccard_threshold: float,
-    num_buckets: int,
     max_docs: int,
     max_bytes: int,
 ):
@@ -703,7 +692,6 @@ def verify_pairs_jaccard(
         pairs, docs,
         shingle_k=shingle_k,
         jaccard_threshold=jaccard_threshold,
-        num_buckets=num_buckets,
         max_docs=broadcast_max_docs,
         max_bytes=broadcast_max_bytes,
     )
@@ -816,268 +804,6 @@ def verify_pairs_jaccard(
     return grouped_agg_by_bucket(
         textized, ["a", "b"], verify, num_buckets=num_buckets,
         partial_batch=None, group_format="pyarrow"
-    )
-
-
-# second independent SipHash key for the 128-bit content identity
-_HASH_KEY2 = "fedcba9876543210"
-
-
-def content_rep_map(docs, *, id_col: str = "doc_id", text_col: str = "text",
-                    num_buckets: int = 64):
-    """(id, rep) map where ``rep`` = min id among byte-identical texts.
-
-    Content identity is the pair of two independent 64-bit SipHash-1-3
-    digests (distinct keys) — effectively 128 bits, collision
-    probability ~n²/2¹²⁹ (<1e-18 at 10⁹ docs), so no text ever moves:
-    one narrow (id, h1, h2) exchange builds the whole map.
-    """
-    import pyarrow.compute as pc
-
-    from ptrail_ray.stages.bucket import grouped_agg_by_bucket
-
-    def hashes(t: pa.Table) -> pa.Table:
-        txt = pc.fill_null(t[text_col], "").to_numpy(zero_copy_only=False)
-        h1 = pd.util.hash_array(txt, categorize=True)
-        h2 = pd.util.hash_array(txt, hash_key=_HASH_KEY2, categorize=True)
-        return pa.table(
-            {
-                id_col: t[id_col].cast(pa.int64()),
-                "h1": pa.array(h1.view(np.int64)),
-                "h2": pa.array(h2.view(np.int64)),
-            }
-        )
-
-    def rep_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        rep = df.groupby(["h1", "h2"], sort=False)[id_col].transform("min")
-        return pd.DataFrame(
-            {id_col: df[id_col].to_numpy(), "rep": rep.to_numpy()}
-        )
-
-    hashed = docs.select_columns([id_col, text_col]).map_batches(
-        hashes, batch_format="pyarrow", batch_size=None
-    )
-    return grouped_agg_by_bucket(
-        hashed, ["h1", "h2"], rep_in_bucket, num_buckets=num_buckets,
-        partial_batch=None,
-    )
-
-
-def verify_pairs_jaccard_collapsed(
-    pairs,
-    docs,
-    *,
-    shingle_k: int = 3,
-    jaccard_threshold: float = 0.5,
-    num_buckets: int = 32,
-):
-    """Exact-Jaccard verification that first COLLAPSES candidate pairs
-    by content identity — the fix for exact-dup-heavy corpora, where
-    the plain verify is exchange-bound on ~2×|pairs| text-bearing rows
-    (a doc replicated r times yields C(r,2) candidate pairs per near-dup
-    cluster, every one shipping the same two texts).
-
-    Jaccard is a pure function of (text_a, text_b), so pairs that map to
-    the same (rep(a), rep(b)) content pair share one verification:
-
-        1. ``content_rep_map`` — one narrow (id, h1, h2) exchange.
-        2. attach (rep_a, rep_b) to each pair: explode to (pair, side)
-           rows keyed on doc_id, co-bucket with the map, Acero join —
-           ints only, no text.
-        3. fold sides back on (a, b); canonical (lo, hi) =
-           (min, max)(rep_a, rep_b). lo == hi (identical texts) flows
-           through verify as the self-pair (r, r) so the empty/short-doc
-           edge (empty shingle set ⇒ jaccard 0) stays exact.
-        4. ``verify_pairs_jaccard`` on the DISTINCT (lo, hi) pairs only
-           — text now moves for unique content pairs, not all pairs.
-        5. join verdicts back on (lo, hi) — narrow ints again.
-
-    Output is row-for-row identical to ``verify_pairs_jaccard`` (same
-    (a, b, jaccard) set); only the text volume through the verify
-    exchanges changes. The translated pair table (4 int64 columns) is
-    materialized once because two downstream branches consume it —
-    bounded by candidate-pair volume, never by text.
-
-    When the BROADCAST verify path fits (see ``verify_pairs_jaccard``),
-    the collapse machinery is skipped entirely: with zero text
-    exchanges there is no per-pair text cost left to collapse, and the
-    three rep exchanges are pure overhead (measured 32.7 s collapsed vs
-    21.5 s direct-broadcast on the 1.05 M-pair stress corpus).
-    """
-    import pyarrow.compute as pc
-
-    from ptrail_ray.stages.bucket import grouped_agg_by_bucket
-
-    bcast = _try_broadcast_verify(
-        pairs, docs,
-        shingle_k=shingle_k,
-        jaccard_threshold=jaccard_threshold,
-        num_buckets=num_buckets,
-        max_docs=2_000_000,
-        max_bytes=512 << 20,
-    )
-    if bcast is not None:
-        return bcast
-
-    rep = content_rep_map(docs, num_buckets=num_buckets)
-
-    # ---- exchange A: attach rep per (pair, side), keyed on doc_id ----
-    def explode(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(a)
-        return pa.table(
-            {
-                "doc_id": pa.array(np.concatenate([a, b]), pa.int64()),
-                "a": pa.array(np.concatenate([a, a]), pa.int64()),
-                "b": pa.array(np.concatenate([b, b]), pa.int64()),
-                "side": pa.array(
-                    np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)]),
-                    pa.int8(),
-                ),
-                "rep": pa.nulls(2 * n, pa.int64()),
-            }
-        )
-
-    def tag_map(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "doc_id": t["doc_id"].cast(pa.int64()),
-                "a": pa.array(np.full(n, -1, np.int64)),
-                "b": pa.array(np.full(n, -1, np.int64)),
-                "side": pa.array(np.full(n, -1, np.int8), pa.int8()),
-                "rep": t["rep"].cast(pa.int64()),
-            }
-        )
-
-    req = pairs.map_batches(explode, batch_format="pyarrow", batch_size=None)
-    mp = rep.map_batches(tag_map, batch_format="pyarrow", batch_size=None)
-
-    def attach_rep(t: pa.Table) -> pa.Table:
-        side = t["side"]
-        m = t.filter(pc.equal(side, -1)).select(["doc_id", "rep"]).combine_chunks()
-        r = (
-            t.filter(pc.not_equal(side, -1))
-            .select(["doc_id", "a", "b", "side"])
-            .combine_chunks()
-        )
-        j = r.join(m, keys="doc_id", join_type="left outer")
-        return j.select(["a", "b", "side", "rep"])
-
-    sided = grouped_agg_by_bucket(
-        mp.union(req),
-        "doc_id",
-        attach_rep,
-        num_buckets=num_buckets,
-        partial_batch=None,
-        group_format="pyarrow",
-    )
-
-    # ---- exchange B: fold sides on (a, b) → canonical (lo, hi) ----
-    def fold(t: pa.Table) -> pa.Table:
-        side = t["side"]
-        s0 = (
-            t.filter(pc.equal(side, 0))
-            .select(["a", "b", "rep"])
-            .rename_columns(["a", "b", "ra"])
-            .combine_chunks()
-        )
-        s1 = (
-            t.filter(pc.equal(side, 1))
-            .select(["a", "b", "rep"])
-            .rename_columns(["a", "b", "rb"])
-            .combine_chunks()
-        )
-        m = s0.join(s1, keys=["a", "b"], join_type="inner")
-        ra = m["ra"].to_numpy(zero_copy_only=False).astype(np.int64)
-        rb = m["rb"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "a": m["a"].combine_chunks(),
-                "b": m["b"].combine_chunks(),
-                "lo": pa.array(np.minimum(ra, rb)),
-                "hi": pa.array(np.maximum(ra, rb)),
-            }
-        )
-
-    translated = grouped_agg_by_bucket(
-        sided, ["a", "b"], fold, num_buckets=num_buckets,
-        partial_batch=None, group_format="pyarrow"
-    ).materialize()
-
-    # ---- verify DISTINCT content pairs only ----
-    def distinct(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.drop_duplicates(["lo", "hi"])
-        return pd.DataFrame({"a": d["lo"].to_numpy(), "b": d["hi"].to_numpy()})
-
-    rep_pairs = grouped_agg_by_bucket(
-        translated.select_columns(["lo", "hi"]),
-        ["lo", "hi"],
-        distinct,
-        num_buckets=16,
-        partial_batch=None,
-    )
-    verified = verify_pairs_jaccard(
-        rep_pairs,
-        docs,
-        shingle_k=shingle_k,
-        jaccard_threshold=jaccard_threshold,
-        num_buckets=num_buckets,
-    )
-
-    # ---- exchange C: verdicts back onto original pairs, keyed (lo, hi) ----
-    def tag_verdict(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "a": pa.array(np.full(n, -1, np.int64)),
-                "b": pa.array(np.full(n, -1, np.int64)),
-                "lo": t["a"].cast(pa.int64()),
-                "hi": t["b"].cast(pa.int64()),
-                "side": pa.array(np.full(n, -1, np.int8), pa.int8()),
-                "jaccard": t["jaccard"].cast(pa.float64()),
-            }
-        )
-
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "a": t["a"].cast(pa.int64()),
-                "b": t["b"].cast(pa.int64()),
-                "lo": t["lo"].cast(pa.int64()),
-                "hi": t["hi"].cast(pa.int64()),
-                "side": pa.array(np.zeros(n, np.int8), pa.int8()),
-                "jaccard": pa.nulls(n, pa.float64()),
-            }
-        )
-
-    vt = verified.map_batches(tag_verdict, batch_format="pyarrow", batch_size=None)
-    pt = translated.map_batches(tag_pairs, batch_format="pyarrow", batch_size=None)
-
-    def back(t: pa.Table) -> pa.Table:
-        side = t["side"]
-        v = (
-            t.filter(pc.equal(side, -1))
-            .select(["lo", "hi", "jaccard"])
-            .combine_chunks()
-        )
-        p = (
-            t.filter(pc.equal(side, 0))
-            .select(["a", "b", "lo", "hi"])
-            .combine_chunks()
-        )
-        m = p.join(v, keys=["lo", "hi"], join_type="inner")
-        return m.select(["a", "b", "jaccard"])
-
-    return grouped_agg_by_bucket(
-        vt.union(pt),
-        ["lo", "hi"],
-        back,
-        num_buckets=num_buckets,
-        partial_batch=None,
-        group_format="pyarrow",
     )
 
 

@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ptrail_ray.schema import CONV_ID, TS, TURN_IDX
-from ptrail_ray.stages.bucket import BUCKET_COL, assign_bucket, sort_bucket
+from ptrail_ray.stages.bucket import BUCKET_ASSIGN_BATCH, assign_bucket, map_conv_buckets
 
 MANIFEST_DIR = "_manifest"
 KERNEL_VERSION = 1
@@ -218,36 +218,35 @@ def write_resumable(
     hot_convs: "list[str] | tuple" = (),
     data_format: str = "parquet",
 ):
-    """Run ``kernel_fn`` on conv-contiguous buckets and write each result
-    bucket atomically with a manifest. Returns the per-bucket metrics.
+    """Run ``kernel_fn`` on the sorted conv-contiguous buckets of
+    ``stages.bucket.map_conv_buckets`` and write each result bucket
+    atomically with a manifest. Returns the per-bucket metrics.
 
     On resume, buckets with existing manifests are filtered out BEFORE
-    the shuffle (a cheap stateless mask on the bucket column), so retried
-    jobs move only unfinished data.
+    the shuffle (a narrow stage masking rows by their bucket id, added
+    only when some bucket is done), so retried jobs move only unfinished
+    data. The writer recomputes a bucket's id from its first conv_id.
     """
     os.makedirs(out_dir, exist_ok=True)
     done = completed_buckets(out_dir) if resume else set()
 
-    def pending_with_bucket(batch: pa.Table) -> pa.Table:
-        b = assign_bucket(batch["conv_id"], num_buckets, hot_convs)
-        batch = batch.append_column(BUCKET_COL, pa.array(b, pa.int32()))
-        return batch.filter(pa.array(~np.isin(b, list(done)))) if done else batch
+    if done:
+        def pending(batch: pa.Table) -> pa.Table:
+            b = assign_bucket(batch[CONV_ID], num_buckets, hot_convs)
+            return batch.filter(pa.array(~np.isin(b, list(done))))
+
+        ds = ds.map_batches(pending, batch_format="pyarrow", batch_size=BUCKET_ASSIGN_BATCH)
 
     def write_group(table: pa.Table) -> pa.Table:
         if table.num_rows == 0:
             return pa.table({"bucket": pa.array([], pa.int32()), "rows": pa.array([], pa.int64())})
-        bucket = int(table[BUCKET_COL][0].as_py())
-        table = table.drop_columns([BUCKET_COL])
-        result = kernel_fn(sort_bucket(table))
+        bucket = int(assign_bucket(table[CONV_ID].slice(0, 1), num_buckets, hot_convs)[0])
+        result = kernel_fn(table)
         write_bucket(result, bucket, out_dir, lineage=lineage, data_format=data_format)
         return pa.table(
             {"bucket": pa.array([bucket], pa.int32()), "rows": pa.array([result.num_rows], pa.int64())}
         )
 
-    summary = (
-        ds.map_batches(pending_with_bucket, batch_format="pyarrow", batch_size=262144)
-        .groupby(BUCKET_COL)
-        .map_groups(write_group, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return summary
+    return map_conv_buckets(
+        ds, write_group, num_buckets=num_buckets, hot_convs=hot_convs
+    ).to_pandas()

@@ -132,10 +132,20 @@ def test_lsh_hot_cell_cap_is_loud_and_connectivity_preserving(caplog):
     assert (out["a"] < out["b"]).all()
 
 
-def test_minhash_pair_identity_survives_64bit_doc_ids(ray_session):
+# verify_pairs_jaccard picks broadcast or exchange by measured size;
+# a zero cap forces the exchange path on these tiny inputs
+VERIFY_PATHS = {
+    "broadcast": {},
+    "exchange_docs": {"broadcast_max_docs": 0},
+    "exchange_bytes": {"broadcast_max_bytes": 0},
+}
+
+
+@pytest.mark.parametrize("path", ["broadcast", "exchange_docs"])
+def test_minhash_pair_identity_survives_64bit_doc_ids(ray_session, path):
     """verify_pairs_jaccard carries pair identity as two int64 columns;
     doc_ids beyond 2^32 (packed-key wraparound territory, ADVICE r02)
-    must come through intact."""
+    must come through intact on both verify paths."""
     from ptrail_ray.functions.dedup import verify_pairs_jaccard
 
     big_a, big_b = np.int64(2**33 + 5), np.int64(2**35 + 11)
@@ -152,21 +162,20 @@ def test_minhash_pair_identity_survives_64bit_doc_ids(ray_session):
             {"a": np.array([big_a], np.int64), "b": np.array([big_b], np.int64)}
         )
     )
-    out = verify_pairs_jaccard(pairs, docs, jaccard_threshold=0.5).to_pandas()
+    out = verify_pairs_jaccard(
+        pairs, docs, jaccard_threshold=0.5, **VERIFY_PATHS[path]
+    ).to_pandas()
     assert len(out) == 1
     assert out["a"].iloc[0] == big_a and out["b"].iloc[0] == big_b
     assert out["jaccard"].iloc[0] == 1.0
 
 
-def test_collapsed_verify_matches_plain_on_dup_heavy_corpus(ray_session):
-    """verify_pairs_jaccard_collapsed must be row-for-row identical to
-    the plain verify: replicas (exact dups), near-dups, empty docs
-    (identical-but-empty texts must yield jaccard 0, NOT a shortcut 1),
-    and short docs all covered."""
-    from ptrail_ray.functions.dedup import (
-        verify_pairs_jaccard,
-        verify_pairs_jaccard_collapsed,
-    )
+def test_exchange_verify_matches_broadcast_on_dup_heavy_corpus(ray_session):
+    """The exchange verify path (forced through either broadcast cap)
+    must be row-for-row identical to the broadcast path: replicas
+    (exact dups), near-dups, empty docs (identical-but-empty texts must
+    yield jaccard 0, NOT a shortcut 1), and short docs all covered."""
+    from ptrail_ray.functions.dedup import verify_pairs_jaccard
 
     base = [
         "alpha beta gamma delta epsilon zeta",
@@ -199,21 +208,21 @@ def test_collapsed_verify_matches_plain_on_dup_heavy_corpus(ray_session):
             }
         )
     )
-    kw = dict(shingle_k=3, jaccard_threshold=0.5)
-    plain = (
-        verify_pairs_jaccard(pairs, docs, **kw)
-        .to_pandas()
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
-    )
-    coll = (
-        verify_pairs_jaccard_collapsed(pairs, docs, **kw)
-        .to_pandas()
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(plain, coll, check_like=True)
-    got = set(zip(coll["a"], coll["b"]))
+
+    def verified(path):
+        return (
+            verify_pairs_jaccard(
+                pairs, docs, shingle_k=3, jaccard_threshold=0.5, **VERIFY_PATHS[path]
+            )
+            .to_pandas()
+            .sort_values(["a", "b"])
+            .reset_index(drop=True)
+        )
+
+    bcast = verified("broadcast")
+    for path in ("exchange_docs", "exchange_bytes"):
+        pd.testing.assert_frame_equal(bcast, verified(path), check_like=True)
+    got = set(zip(bcast["a"], bcast["b"]))
     assert (0, 10) in got and (3, 13) not in got  # empty dups: jaccard 0
     assert (4, 14) in got  # short identical docs: single-shingle, j=1
     assert (0, 2) not in got  # non-dup filtered

@@ -100,14 +100,6 @@ def main() -> int:
             t0 = time.perf_counter()
             nrows = minhash_lsh_pairs(ds, jaccard_threshold=0.5).count()
             results["minhash_lsh_pairs"] = (time.perf_counter() - t0, nrows)
-        if "minhash_plain" in ops:  # A/B: collapse_exact off
-            from ptrail_ray.functions.dedup import minhash_lsh_pairs
-
-            t0 = time.perf_counter()
-            nrows = minhash_lsh_pairs(
-                ds, jaccard_threshold=0.5, collapse_exact=False
-            ).count()
-            results["minhash_lsh_pairs_plain"] = (time.perf_counter() - t0, nrows)
         if "ngram" in ops:
             from ptrail_ray.functions.dedup import ngram_jaccard_pairs
 
